@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-race cover bench bench-substrate bench-obs bench-sim bench-prune bench-diag bench-wal bench-telemetry bench-check fuzz experiments examples vet staticcheck fmt clean
+.PHONY: all check build test test-short test-race cover bench bench-record bench-check fuzz experiments examples vet staticcheck fmt clean
 
 all: build vet test
 
@@ -43,72 +43,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Substrate micro-benchmarks only (simulator, GP, acquisition, encoding,
-# surrogate tier), 5 samples each, recorded as JSON for regression
-# tracking (see docs/PERFORMANCE.md). The warm-start pass runs one
-# iteration per sample: its exact-GP arm refits a 2000-point history from
-# scratch (~50s each) — the O(n³) ceiling the scalable surrogates remove.
-bench-substrate:
-	( $(GO) test -run '^$$' -bench 'SimulatorRun|GPFitPredict|GPPredictBatch|BayesOptStep|ConfspaceEncode|SurrogateFit|SurrogatePredict' \
-		-benchmem -count=5 . ; \
-	  $(GO) test -run '^$$' -bench 'BayesOptWarmStart' -benchtime 1x -count=1 . ) \
-		| $(GO) run ./cmd/benchjson > BENCH_substrate.json
-	@echo wrote BENCH_substrate.json
+# The micro-benchmark registry, BENCH.json (see cmd/benchguard).
+# bench-record rewrites the samples of every row, or of ROWS="a b";
+# bench-check gates fresh medians against them.
+bench-record:
+	$(GO) run ./cmd/benchguard record $(ROWS)
 
-# Observability-overhead benchmarks: the cost of the hot-path metric and
-# span primitives, alongside BayesOptStep as the macro-level guard that
-# instrumentation stays under its <5% budget (see docs/OBSERVABILITY.md).
-bench-obs:
-	$(GO) test -run '^$$' -bench 'ObsOverhead|^BenchmarkBayesOptStep$$' \
-		-benchmem -count=5 ./internal/obs . | $(GO) run ./cmd/benchjson > BENCH_obs.json
-	@echo wrote BENCH_obs.json
-
-# Simulator fast-path benchmarks: pooled stage execution vs the frozen
-# naive reference, the memoizing evaluation cache over a full tuning
-# session, and batch objective evaluation (see docs/PERFORMANCE.md).
-bench-sim:
-	$(GO) test -run '^$$' -bench 'SimRun|SimulatorRun|SimCacheTuning|SimBatchEval' \
-		-benchmem -count=5 ./internal/spark . | $(GO) run ./cmd/benchjson > BENCH_sim.json
-	@echo wrote BENCH_sim.json
-
-# Config-space pruning benchmarks: one modelled BayesOpt step at equal
-# trial count, full 41-parameter space vs the adopted significant
-# subspace. The acceptance number for the pruning tier: the pruned step
-# must hold a >=2x ns/op advantage (see docs/PERFORMANCE.md).
-bench-prune:
-	$(GO) test -run '^$$' -bench 'PrunedBayesOptStep' \
-		-benchmem -count=5 . | $(GO) run ./cmd/benchjson > BENCH_prune.json
-	@echo wrote BENCH_prune.json
-
-# Diagnostics-overhead benchmarks: one modelled BayesOpt step bare, with
-# a decision hook, and with the full calibration monitor behind it. The
-# acceptance number for the explainability tier: the hook path must stay
-# within 1% of the bare step (see docs/OBSERVABILITY.md).
-bench-diag:
-	$(GO) test -run '^$$' -bench 'DecisionRecordOverhead' \
-		-benchmem -count=5 . | $(GO) run ./cmd/benchjson > BENCH_diag.json
-	@echo wrote BENCH_diag.json
-
-# WAL persistence benchmarks: append throughput (async, sync-acked, and
-# group-committed with real fsyncs), 100k-record recovery replay, and
-# the snapshot-per-write baseline the WAL replaces. The acceptance
-# numbers for the persistence tier: appends must beat snapshot-per-write
-# at 10k-trial history by >=50x, recovery must stay well under a second
-# (see docs/PERFORMANCE.md).
-bench-wal:
-	$(GO) test -run '^$$' -bench 'WALAppend|WALReplay|SnapshotPerWrite' \
-		-benchmem -count=5 ./internal/wal | $(GO) run ./cmd/benchjson > BENCH_wal.json
-	@echo wrote BENCH_wal.json
-
-# Telemetry-tier benchmarks: the per-interval registry snapshot, range
-# queries over 1h and 24h of history, and a full default-rule alert
-# evaluation — alongside BayesOptStep as the denominator. The acceptance
-# number for the telemetry tier: snapshot + alert eval per 1s interval
-# must stay under 1% of one BayesOptStep (see docs/OBSERVABILITY.md).
-bench-telemetry:
-	$(GO) test -run '^$$' -bench 'TelemetrySnapshot|TelemetryRangeQuery|AlertEval|^BenchmarkBayesOptStep$$' \
-		-benchmem -count=5 ./internal/telemetry . | $(GO) run ./cmd/benchjson > BENCH_telemetry.json
-	@echo wrote BENCH_telemetry.json
+bench-check:
+	$(GO) run ./cmd/benchguard check
 
 # Short fuzz pass over the WAL record decoder — the parser that faces
 # arbitrary on-disk bytes after a crash. CI runs the same smoke; longer
@@ -116,42 +58,6 @@ bench-telemetry:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecord' -fuzztime $(FUZZTIME) ./internal/wal
-
-# Bench-regression smoke: rerun the guarded hot-path benchmarks and
-# compare their median ns/op against the committed baselines, failing on
-# a >25% regression. Fewer samples than the recording targets — this is
-# a tripwire, not a measurement (see docs/OBSERVABILITY.md).
-BENCHTMP ?= .benchtmp
-bench-check:
-	@mkdir -p $(BENCHTMP)
-	$(GO) test -run '^$$' -bench 'ObsOverhead|BayesOptStep' \
-		-benchmem -count=3 ./internal/obs . | $(GO) run ./cmd/benchjson > $(BENCHTMP)/obs.json
-	$(GO) run ./cmd/benchguard -old BENCH_obs.json -new $(BENCHTMP)/obs.json \
-		-guard 'BenchmarkObsOverhead/(counter|histogram|span|event-nosub)$$|BenchmarkBayesOptStep$$' -max-regress 0.25
-	$(GO) test -run '^$$' -bench 'SimRun|SimCacheTuning|SimBatchEval' \
-		-benchmem -count=3 ./internal/spark . | $(GO) run ./cmd/benchjson > $(BENCHTMP)/sim.json
-	$(GO) run ./cmd/benchguard -old BENCH_sim.json -new $(BENCHTMP)/sim.json \
-		-guard 'BenchmarkSimRunPooled$$|BenchmarkSimCacheTuning/|BenchmarkSimBatchEval/' -max-regress 0.25
-	$(GO) test -run '^$$' -bench 'Surrogate(Fit|Predict)/(rffgp|forest)' \
-		-benchmem -count=3 . | $(GO) run ./cmd/benchjson > $(BENCHTMP)/surrogate.json
-	$(GO) run ./cmd/benchguard -old BENCH_substrate.json -new $(BENCHTMP)/surrogate.json \
-		-guard 'BenchmarkSurrogate(Fit|Predict)/(rffgp|forest)/' -max-regress 0.25
-	$(GO) test -run '^$$' -bench 'PrunedBayesOptStep' \
-		-benchmem -count=3 . | $(GO) run ./cmd/benchjson > $(BENCHTMP)/prune.json
-	$(GO) run ./cmd/benchguard -old BENCH_prune.json -new $(BENCHTMP)/prune.json \
-		-guard 'BenchmarkPrunedBayesOptStep/(full|pruned)$$' -max-regress 0.25
-	$(GO) test -run '^$$' -bench 'DecisionRecordOverhead' \
-		-benchmem -count=3 . | $(GO) run ./cmd/benchjson > $(BENCHTMP)/diag.json
-	$(GO) run ./cmd/benchguard -old BENCH_diag.json -new $(BENCHTMP)/diag.json \
-		-guard 'BenchmarkDecisionRecordOverhead/(off|on|diagnosed)$$' -max-regress 0.25
-	$(GO) test -run '^$$' -bench 'WALAppend/async$$|WALReplay' \
-		-benchmem -count=3 ./internal/wal | $(GO) run ./cmd/benchjson > $(BENCHTMP)/wal.json
-	$(GO) run ./cmd/benchguard -old BENCH_wal.json -new $(BENCHTMP)/wal.json \
-		-guard 'BenchmarkWALAppend/async$$|BenchmarkWALReplay$$' -max-regress 0.5
-	$(GO) test -run '^$$' -bench 'TelemetrySnapshot$$|AlertEval$$' \
-		-benchmem -count=3 ./internal/telemetry | $(GO) run ./cmd/benchjson > $(BENCHTMP)/telemetry.json
-	$(GO) run ./cmd/benchguard -old BENCH_telemetry.json -new $(BENCHTMP)/telemetry.json \
-		-guard 'BenchmarkTelemetrySnapshot$$|BenchmarkAlertEval$$' -max-regress 0.25
 
 # Regenerate every paper artifact (T1, F1-F3, C1-C12, T1X, A1).
 experiments:
@@ -166,4 +72,3 @@ examples:
 
 clean:
 	$(GO) clean -testcache
-	rm -rf $(BENCHTMP)

@@ -1,22 +1,16 @@
-// Command benchguard compares a fresh benchmark run (benchjson output)
-// against a committed baseline and fails when a guarded benchmark's
-// median ns/op regressed beyond the allowed fraction — the CI tripwire
-// that keeps the observability hot paths within their budget.
+// Command benchguard keeps the micro-benchmark registry, BENCH.json:
+// each row names one `go test -bench` regex on one package and holds the
+// samples it last recorded.
 //
-// Usage:
+//	benchguard [-registry BENCH.json] record [row...]
+//	benchguard [-registry BENCH.json] check
 //
-//	benchguard -old BENCH_obs.json -new fresh.json \
-//	    -guard 'BenchmarkObsOverhead/(counter|histogram|span)$' -max-regress 0.25
-//
-// Benchmarks present in the fresh run but absent from the baseline are
-// reported and skipped (new benchmarks are not regressions); benchmarks
-// only in the baseline are ignored (deletions are reviewed in the diff
-// of the committed file itself). Medians, not means, so one noisy sample
-// out of -count=5 cannot fail or mask a run.
+// record reruns rows (all when none is named) and rewrites their
+// samples. check, the CI tripwire, compares fresh medians of the gated
+// rows against the recorded ones and runs every other row once.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -25,52 +19,60 @@ import (
 	"sort"
 )
 
-// sample mirrors the benchjson schema (the fields benchguard needs).
-type sample struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-type report struct {
-	Samples []sample `json:"samples"`
-}
-
 func main() {
-	fs := flag.NewFlagSet("benchguard", flag.ExitOnError)
-	oldPath := fs.String("old", "", "committed baseline (benchjson output)")
-	newPath := fs.String("new", "", "fresh run (benchjson output)")
-	guardPat := fs.String("guard", ".*", "regexp of benchmark names to guard")
-	maxRegress := fs.Float64("max-regress", 0.25, "max allowed fractional ns/op regression")
-	fs.Parse(os.Args[1:])
-	if *oldPath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchguard: -old and -new are required")
+	regPath := flag.String("registry", "BENCH.json", "benchmark registry file")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: benchguard [-registry file] record [row...] | check")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	args := flag.Args()
+	if len(args) == 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	regressions, err := guard(*oldPath, *newPath, *guardPat, *maxRegress, os.Stdout)
+	reg, err := loadRegistry(*regPath)
+	failures := 0
+	switch {
+	case err != nil:
+	case args[0] == "record":
+		err = record(reg, *regPath, args[1:], goTest)
+	case args[0] == "check":
+		failures, err = check(reg, *regPath, goTest, os.Stdout)
+	default:
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
-	if regressions > 0 {
-		fmt.Printf("FAIL: %d guarded benchmark(s) regressed more than %.0f%%\n", regressions, *maxRegress*100)
+	if failures > 0 {
+		fmt.Printf("FAIL: %d gated benchmark(s) regressed or went missing\n", failures)
 		os.Exit(1)
 	}
-	fmt.Println("ok: no guarded benchmark regressed")
+	if args[0] == "check" {
+		fmt.Println("ok: no gated benchmark regressed")
+	}
 }
 
-// medians loads a benchjson file and reduces repeated samples of each
-// benchmark to their median ns/op.
+// medians loads a registry (or a bare run) and reduces the repeated
+// samples of each benchmark to their median ns/op.
 func medians(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
+	reg, err := loadRegistry(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	all := reg.Samples
+	for _, r := range reg.Rows {
+		all = append(all, r.Samples...)
 	}
+	return medianByName(all), nil
+}
+
+func medianByName(samples []Sample) map[string]float64 {
 	byName := make(map[string][]float64)
-	for _, s := range rep.Samples {
+	for _, s := range samples {
 		byName[s.Name] = append(byName[s.Name], s.NsPerOp)
 	}
 	out := make(map[string]float64, len(byName))
@@ -83,15 +85,17 @@ func medians(path string) (map[string]float64, error) {
 			out[name] = (vals[n/2-1] + vals[n/2]) / 2
 		}
 	}
-	return out, nil
+	return out
 }
 
 // guard compares the two files and reports each guarded benchmark's
-// delta, returning how many regressed beyond maxRegress.
+// delta, returning how many regressed beyond maxRegress. Benchmarks in
+// the fresh run without a baseline are reported and skipped (new
+// benchmarks are not regressions).
 func guard(oldPath, newPath, guardPat string, maxRegress float64, out io.Writer) (int, error) {
 	re, err := regexp.Compile(guardPat)
 	if err != nil {
-		return 0, fmt.Errorf("bad -guard pattern: %w", err)
+		return 0, fmt.Errorf("bad guard pattern: %w", err)
 	}
 	oldMed, err := medians(oldPath)
 	if err != nil {

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"strconv"
-	"time"
 
 	"seamlesstune/internal/obs"
 )
@@ -125,15 +125,22 @@ func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, session st
 		}
 	}
 
-	// For job-scoped streams, poll the job's state: once it is terminal
-	// the session has published everything (session_end precedes the
-	// task's return), so drain what is buffered and end the stream so
+	// A job-scoped stream ends when the engine reports the job terminal:
+	// the session has published everything by then (session_end precedes
+	// the task's return), so drain what is buffered and end the stream so
 	// clients like `tunectl events` exit cleanly.
-	var tick <-chan time.Time
+	var finished chan struct{}
 	if session != "" {
-		t := time.NewTicker(250 * time.Millisecond)
-		defer t.Stop()
-		tick = t.C
+		ctx, cancel := context.WithCancel(r.Context())
+		finished = make(chan struct{})
+		go func() {
+			defer close(finished)
+			s.engine.Wait(ctx, session)
+		}()
+		defer func() {
+			cancel()
+			<-finished
+		}()
 	}
 	for {
 		select {
@@ -146,11 +153,7 @@ func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, session st
 			}
 		case <-r.Context().Done():
 			return
-		case <-tick:
-			job, ok := s.engine.Get(session)
-			if !ok || !job.State.Terminal() {
-				continue
-			}
+		case <-finished:
 			for {
 				select {
 				case e, open := <-sub.C():

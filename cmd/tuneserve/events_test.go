@@ -246,6 +246,31 @@ func TestJobEventStreamResume(t *testing.T) {
 	}
 }
 
+// TestJobEventStreamClosesOnFinishedJob pins that a job-scoped stream
+// ends on the engine's terminal signal, not on a poll: replaying a job
+// that has already finished must close as soon as the replay is sent.
+func TestJobEventStreamClosesOnFinishedJob(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	id := submitEventsJob(t, s)
+	awaitJob(t, s, id)
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp, 0)
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Errorf("finished job's stream closed after %v, want < 100ms", elapsed)
+	}
+	if len(events) == 0 || events[len(events)-1].Event.Type != obs.EventSessionEnd {
+		t.Errorf("replay of a finished job must end with session_end, got %d events", len(events))
+	}
+}
+
 func TestJobEventsUnknownJob(t *testing.T) {
 	s := testServer(t)
 	rec := httptest.NewRecorder()

@@ -124,7 +124,15 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// No WriteTimeout: SSE streams stay open for the life of a job or a
+	// dashboard. Header and idle timeouts bound clients that never finish
+	// a request or never close a kept-alive connection.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

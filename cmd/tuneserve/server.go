@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -407,10 +408,19 @@ func toTuneResponse(res core.PipelineResult) tuneResponse {
 	return resp
 }
 
+// maxJobSpecBytes bounds a job-spec request body. A real spec is a few
+// hundred bytes.
+const maxJobSpecBytes = 1 << 20
+
 // submit validates a tune request and enqueues the pipeline as a job.
 func (s *server) submit(w http.ResponseWriter, r *http.Request) (jobs.Job, bool) {
 	var req tuneRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&req); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "invalid_argument",
+				"job spec exceeds %d bytes", tooLarge.Limit)
+			return jobs.Job{}, false
+		}
 		writeError(w, http.StatusBadRequest, "invalid_argument", "bad request body: %v", err)
 		return jobs.Job{}, false
 	}

@@ -331,6 +331,30 @@ func TestTuneValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedJobSpec sends a job spec that is valid JSON but larger
+// than the body limit: it must be refused with the error envelope before
+// anything is enqueued. Under the limit the same spec would be accepted,
+// since unknown fields are ignored.
+func TestOversizedJobSpec(t *testing.T) {
+	s := testServer(t)
+	body := `{"tenant":"acme","workload":"wordcount","inputGB":2,"pad":"` +
+		strings.Repeat("x", maxJobSpecBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/tune"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s status = %d, want 413", path, rec.Code)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_argument" {
+			t.Errorf("POST %s body = %.200s, want error envelope", path, rec.Body.String())
+		}
+	}
+	if n := len(s.engine.List()); n != 0 {
+		t.Errorf("oversized specs enqueued %d jobs, want 0", n)
+	}
+}
+
 func TestHistoryValidation(t *testing.T) {
 	s := testServer(t)
 	rec := httptest.NewRecorder()

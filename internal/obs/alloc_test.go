@@ -63,8 +63,8 @@ func TestHotPathAllocFree(t *testing.T) {
 }
 
 // BenchmarkObsOverhead measures the instrumented hot-path cost against
-// the no-op (zero-value handle) baseline — the numbers recorded in
-// BENCH_obs.json by `make bench-obs`. ReportAllocs makes any future
+// the no-op (zero-value handle) baseline — the numbers recorded in the
+// obs-hot and obs-arms rows of BENCH.json. ReportAllocs makes any future
 // allocation regression visible in the committed record.
 func BenchmarkObsOverhead(b *testing.B) {
 	r := NewRegistry()

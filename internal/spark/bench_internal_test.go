@@ -2,7 +2,7 @@ package spark
 
 // Benchmarks comparing the pooled fast path (runWith) against the frozen
 // naive reference (runWithNaive) on a PageRank-shaped job. These are the
-// allocation-budget benchmarks behind `make bench-sim`; the equivalence
+// allocation-budget benchmarks of the sim rows in BENCH.json; the equivalence
 // tests in equiv_test.go guarantee the two paths are bit-identical, so
 // any gap measured here is pure overhead.
 

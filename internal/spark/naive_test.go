@@ -16,8 +16,9 @@ import (
 // property tests (equiv_test.go) run both implementations on randomized
 // jobs, configurations and seeds and require exactly equal Results. The
 // naive path allocates freshly on every call and recomputes every
-// per-job invariant, so it is also the allocation baseline the
-// BenchmarkRunWithNaive numbers in BENCH_sim.json come from.
+// per-job invariant, so it is also the allocation baseline that
+// BenchmarkSimRunNaive (the sim-naive row of BENCH.json) measures. It
+// lives in a _test.go file so it never ships in a binary.
 //
 // Do not "fix" or optimize this file: it is the reference semantics.
 

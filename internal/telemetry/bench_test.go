@@ -36,8 +36,8 @@ func benchRegistry() *obs.Registry {
 // BenchmarkTelemetrySnapshot is the per-interval sampling cost: one
 // registry gather folded into every rollup tier. At the default 1s
 // interval this runs once per second — the paper-facing budget is
-// <1% of one BenchmarkBayesOptStep (recorded side by side in
-// BENCH_telemetry.json by `make bench-telemetry`).
+// <1% of one BenchmarkBayesOptStep/n=60 (the telemetry and
+// bayesopt-step rows of BENCH.json).
 func BenchmarkTelemetrySnapshot(b *testing.B) {
 	s := NewStore(Config{Registry: benchRegistry(), Interval: time.Second, Retention: 24 * time.Hour})
 	ts := base
