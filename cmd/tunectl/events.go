@@ -2,15 +2,17 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/obs"
 )
 
@@ -55,21 +57,15 @@ func runEvents(args []string, out io.Writer) error {
 	if id == "" {
 		return fmt.Errorf("usage: tunectl events <job-id> [-server URL] [-json] [-from SEQ]")
 	}
-	base := strings.TrimSuffix(*server, "/")
+	ctx := context.Background()
+	c := api.NewClient(*server)
 	lastSeq := *from
 	failures := 0
 	for {
-		url := fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", base, id, lastSeq)
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
+		stream, err := c.JobEvents(ctx, id, lastSeq)
+		if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) {
 			return err
 		}
-		if lastSeq > 0 {
-			// Belt and braces: send the standard SSE resumption header too,
-			// for proxies that strip query strings.
-			req.Header.Set("Last-Event-ID", strconv.FormatUint(lastSeq, 10))
-		}
-		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			failures++
 			if failures >= maxReconnectFailures {
@@ -78,23 +74,13 @@ func runEvents(args []string, out io.Writer) error {
 			time.Sleep(reconnectDelay)
 			continue
 		}
-		if resp.StatusCode != http.StatusOK {
-			var envelope remoteError
-			if json.NewDecoder(resp.Body).Decode(&envelope) == nil && envelope.Error.Message != "" {
-				resp.Body.Close()
-				return fmt.Errorf("%s: %s", envelope.Error.Code, envelope.Error.Message)
-			}
-			resp.Body.Close()
-			return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+		seen, streamErr := printEventStream(stream, out, *asJSON, &lastSeq)
+		stream.Close()
+		if bad := (*malformedEventError)(nil); errors.As(streamErr, &bad) {
+			return streamErr // a decode error is terminal
 		}
-		seen, streamErr := printEventStream(resp.Body, out, *asJSON, &lastSeq)
-		resp.Body.Close()
 		if streamErr != nil && !seen {
-			// A decode error is terminal; a transport drop with no events
-			// counts as a failed attempt.
-			if _, ok := streamErr.(*malformedEventError); ok {
-				return streamErr
-			}
+			// A transport drop with no events counts as a failed attempt.
 			failures++
 			if failures >= maxReconnectFailures {
 				return fmt.Errorf("stream kept dropping (%d attempts): %w", failures, streamErr)
@@ -103,9 +89,6 @@ func runEvents(args []string, out io.Writer) error {
 			continue
 		}
 		if streamErr != nil {
-			if _, ok := streamErr.(*malformedEventError); ok {
-				return streamErr
-			}
 			// Progress was made; reset the failure budget and resume from
 			// the last acknowledged sequence number.
 			failures = 0
@@ -114,8 +97,11 @@ func runEvents(args []string, out io.Writer) error {
 		}
 		// Clean EOF: the server closed the stream. For a terminal job that
 		// is the end of the tail; otherwise (server restart, shutdown) keep
-		// following until the job finishes.
-		if done, err := jobTerminal(base, id); done || err != nil {
+		// following until the job finishes. A missing job (404 — e.g. the
+		// server restarted with empty state) ends the tail with the
+		// server's error; an unreachable server is retried.
+		job, err := c.Job(ctx, id)
+		if apiErr := (*api.Error)(nil); errors.As(err, &apiErr) || (err == nil && job.State.Terminal()) {
 			return err
 		}
 		failures++
@@ -124,21 +110,6 @@ func runEvents(args []string, out io.Writer) error {
 		}
 		time.Sleep(reconnectDelay)
 	}
-}
-
-// jobTerminal reports whether the job reached a terminal state. A
-// missing job (404 — e.g. the server restarted with empty state) ends
-// the tail with the server's error.
-func jobTerminal(base, id string) (bool, error) {
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		return false, nil // server briefly down; the caller keeps retrying
-	}
-	job, err := decodeJob(resp, http.StatusOK)
-	if err != nil {
-		return false, err
-	}
-	return job.State == "done" || job.State == "failed", nil
 }
 
 // malformedEventError marks a decode failure — terminal, unlike

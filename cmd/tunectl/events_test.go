@@ -229,3 +229,52 @@ func TestEventsGivesUpWhenUnreachable(t *testing.T) {
 		t.Fatalf("expected unreachable error, got %v", err)
 	}
 }
+
+// TestEventsMalformedIsTerminal sends two good events and then a data
+// line that is not an event: the tail prints the two, returns the decode
+// error, and does not reconnect.
+func TestEventsMalformedIsTerminal(t *testing.T) {
+	oldDelay := reconnectDelay
+	reconnectDelay = time.Millisecond
+	defer func() { reconnectDelay = oldDelay }()
+
+	var (
+		mu    sync.Mutex
+		conns int
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/jobs/job-000001/events" {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		mu.Lock()
+		conns++
+		mu.Unlock()
+		w.Header().Set("Content-Type", "text/event-stream")
+		var buf []byte
+		for _, e := range cannedEvents()[:2] {
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, e.AppendJSONL(buf[:0]))
+		}
+		fmt.Fprint(w, "id: 3\nevent: trial\ndata: {not json\n\n")
+	}))
+	defer ts.Close()
+
+	var out bytes.Buffer
+	err := run([]string{"events", "job-000001", "-server", ts.URL}, &out)
+	if err == nil || !strings.Contains(err.Error(), "malformed event") {
+		t.Fatalf("err = %v, want malformed event error", err)
+	}
+	for _, want := range []string{"session job-000001 started", "decide [cloud] trial 1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	if lines := strings.Count(out.String(), "\n"); lines != 2 {
+		t.Errorf("printed %d lines, want the 2 good events:\n%s", lines, out.String())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if conns != 1 {
+		t.Errorf("connections = %d, want 1 (a decode error is terminal)", conns)
+	}
+}

@@ -1,56 +1,21 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
-)
 
-// explainDoc mirrors tuneserve's /v1/jobs/{id}/explain payload.
-type explainDoc struct {
-	Job         string `json:"job"`
-	State       string `json:"state"`
-	Diagnostics bool   `json:"diagnostics"`
-	Surrogate   string `json:"surrogate"`
-	Events      int    `json:"events"`
-	Phases      []struct {
-		Phase        string  `json:"phase"`
-		Trials       int     `json:"trials"`
-		Failed       int     `json:"failed"`
-		BestSoFar    float64 `json:"bestSoFar"`
-		Plateau      int     `json:"plateau"`
-		Decisions    int     `json:"decisions"`
-		LastEI       float64 `json:"lastEI"`
-		PeakEI       float64 `json:"peakEI"`
-		EIDecay      float64 `json:"eiDecay"`
-		ExploitShare float64 `json:"exploitShare"`
-		Calibration  *struct {
-			Scores    int     `json:"scores"`
-			Coverage1 float64 `json:"coverage1"`
-			Coverage2 float64 `json:"coverage2"`
-			RMSE      float64 `json:"rmse"`
-			NLPD      float64 `json:"nlpd"`
-			Severity  string  `json:"severity"`
-			Detail    string  `json:"detail"`
-		} `json:"calibration"`
-		Stall *struct {
-			Plateau  int     `json:"plateau"`
-			EIDecay  float64 `json:"eiDecay"`
-			Severity string  `json:"severity"`
-			Detail   string  `json:"detail"`
-		} `json:"stall"`
-	} `json:"phases"`
-}
+	"seamlesstune/internal/api"
+)
 
 // runExplain implements `tunectl explain <job-id>`: it fetches the
 // tuner-introspection summary from tuneserve and renders it as a short
 // operator report — per-phase search progress, acquisition decay,
-// surrogate calibration, and stall verdicts. -json prints the raw
-// document instead.
+// surrogate calibration, and stall verdicts. -json prints the document
+// instead, encoded as the server encodes it.
 func runExplain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tunectl explain", flag.ContinueOnError)
 	server := fs.String("server", "http://localhost:8642", "tuneserve base URL")
@@ -67,41 +32,26 @@ func runExplain(args []string, out io.Writer) error {
 	if id == "" {
 		return fmt.Errorf("usage: tunectl explain <job-id> [-server URL] [-json]")
 	}
-	url := strings.TrimSuffix(*server, "/") + "/v1/jobs/" + id + "/explain"
-	resp, err := http.Get(url)
+	doc, err := api.NewClient(*server).Explain(context.Background(), id)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var env remoteError
-		if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
-			return fmt.Errorf("%s: %s (%s)", resp.Status, env.Error.Message, env.Error.Code)
-		}
-		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(raw))
 	}
 	if *asJSON {
-		var pretty bytes.Buffer
-		if err := json.Indent(&pretty, raw, "", "  "); err != nil {
+		pretty, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, pretty.String())
+		// The trailing blank line keeps this output byte-identical to
+		// what scripts parsing it have always received.
+		fmt.Fprintf(out, "%s\n\n", pretty)
 		return nil
-	}
-	var doc explainDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("malformed explain document: %w", err)
 	}
 	printExplain(out, doc)
 	return nil
 }
 
 // printExplain renders the explain document for humans.
-func printExplain(out io.Writer, doc explainDoc) {
+func printExplain(out io.Writer, doc api.ExplainResponse) {
 	fmt.Fprintf(out, "job %s (%s)", doc.Job, doc.State)
 	if doc.Surrogate != "" {
 		fmt.Fprintf(out, ", surrogate %s", doc.Surrogate)

@@ -1,30 +1,15 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"time"
+
+	"seamlesstune/internal/api"
+	"seamlesstune/internal/jobs"
 )
-
-// remoteJob mirrors the job snapshot tuneserve returns; the result stays
-// raw so tunectl prints exactly what the server computed.
-type remoteJob struct {
-	ID     string          `json:"id"`
-	State  string          `json:"state"`
-	Result json.RawMessage `json:"result"`
-	Error  string          `json:"error"`
-}
-
-// remoteError is tuneserve's {"error":{"code","message"}} envelope.
-type remoteError struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
 
 // runRemote submits the workload to a tuneserve instance via the async
 // job API and polls until the job is terminal.
@@ -32,26 +17,15 @@ func runRemote(out io.Writer, server, tenant, wlName string, sizeGB int64, surro
 	if tenant == "" {
 		return fmt.Errorf("-tenant is required with -server")
 	}
-	payload := map[string]any{
-		"tenant":   tenant,
-		"workload": wlName,
-		"inputGB":  sizeGB,
-	}
-	if surrogateKind != "" {
-		payload["surrogate"] = surrogateKind
-	}
-	if pruning {
-		payload["pruning"] = true
-	}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(server+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	job, err := decodeJob(resp, http.StatusAccepted)
+	ctx := context.Background()
+	c := api.NewClient(server)
+	job, err := c.SubmitJob(ctx, api.TuneRequest{
+		Tenant:    tenant,
+		Workload:  wlName,
+		InputGB:   float64(sizeGB),
+		Surrogate: surrogateKind,
+		Pruning:   pruning,
+	})
 	if err != nil {
 		return fmt.Errorf("submitting job: %w", err)
 	}
@@ -59,46 +33,19 @@ func runRemote(out io.Writer, server, tenant, wlName string, sizeGB int64, surro
 
 	for {
 		switch job.State {
-		case "done":
-			var pretty bytes.Buffer
-			if err := json.Indent(&pretty, job.Result, "", "  "); err != nil {
+		case jobs.StateDone:
+			pretty, err := json.MarshalIndent(job.Result, "", "  ")
+			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "job %s done:\n%s\n", job.ID, pretty.String())
+			fmt.Fprintf(out, "job %s done:\n%s\n", job.ID, pretty)
 			return nil
-		case "failed":
+		case jobs.StateFailed:
 			return fmt.Errorf("job %s failed: %s", job.ID, job.Error)
 		}
 		time.Sleep(poll)
-		resp, err := http.Get(server + "/v1/jobs/" + job.ID)
-		if err != nil {
-			return err
-		}
-		job, err = decodeJob(resp, http.StatusOK)
-		if err != nil {
+		if job, err = c.Job(ctx, job.ID); err != nil {
 			return fmt.Errorf("polling job: %w", err)
 		}
 	}
-}
-
-// decodeJob reads a job snapshot, surfacing the server's error envelope
-// on any unexpected status.
-func decodeJob(resp *http.Response, wantStatus int) (remoteJob, error) {
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return remoteJob{}, err
-	}
-	if resp.StatusCode != wantStatus {
-		var env remoteError
-		if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
-			return remoteJob{}, fmt.Errorf("%s: %s (%s)", resp.Status, env.Error.Message, env.Error.Code)
-		}
-		return remoteJob{}, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	var job remoteJob
-	if err := json.Unmarshal(raw, &job); err != nil {
-		return remoteJob{}, err
-	}
-	return job, nil
 }

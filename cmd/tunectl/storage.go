@@ -1,17 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
 
-	"seamlesstune/internal/obs"
-	"seamlesstune/internal/storage"
+	"seamlesstune/internal/api"
 )
 
 // runStorage implements `tunectl storage`: it reports the server's
@@ -27,26 +26,18 @@ func runStorage(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base := strings.TrimSuffix(*server, "/")
-
-	var st storage.Stats
+	ctx := context.Background()
+	c := api.NewClient(*server)
+	fetch := c.Storage
 	if *compact {
-		resp, err := http.Post(base+"/v1/admin/compact", "application/json", nil)
-		if err != nil {
-			return err
-		}
-		if err := decodeStats(resp, &st); err != nil {
-			return fmt.Errorf("compacting: %w", err)
-		}
+		fetch = c.Compact
+	}
+	st, err := fetch(ctx)
+	if err != nil {
+		return err
+	}
+	if *compact {
 		fmt.Fprintf(out, "compaction complete (%d total)\n", st.Compactions)
-	} else {
-		resp, err := http.Get(base + "/v1/admin/storage")
-		if err != nil {
-			return err
-		}
-		if err := decodeStats(resp, &st); err != nil {
-			return err
-		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
@@ -76,7 +67,7 @@ func runStorage(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		fmt.Fprintf(out, "  recovery:    %d records, %d events in %.3fs\n",
 			st.RecoveredRecords, st.RecoveredEvents, st.RecoverySeconds)
-		if err := printFsyncQuantiles(base, out); err != nil {
+		if err := printFsyncQuantiles(ctx, c, out); err != nil {
 			return err
 		}
 	case "snapshot":
@@ -93,18 +84,10 @@ func runStorage(args []string, out io.Writer) error {
 
 // printFsyncQuantiles reads the JSON metrics exposition — the only one
 // carrying sketch quantiles — and reports fsync latency percentiles.
-func printFsyncQuantiles(base string, out io.Writer) error {
-	resp, err := http.Get(base + "/metrics?format=json")
+func printFsyncQuantiles(ctx context.Context, c *api.Client, out io.Writer) error {
+	snap, err := c.Metrics(ctx)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics?format=json: status %d", resp.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding metrics snapshot: %w", err)
 	}
 	for _, f := range snap.Families {
 		if f.Name != "wal_fsync_seconds" {
@@ -127,20 +110,6 @@ func printFsyncQuantiles(base string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// decodeStats decodes a storage.Stats response, translating the error
-// envelope on non-200s.
-func decodeStats(resp *http.Response, st *storage.Stats) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var env remoteError
-		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error.Message != "" {
-			return fmt.Errorf("%s: %s", env.Error.Code, env.Error.Message)
-		}
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(st)
 }
 
 // formatBytes renders a byte count with a binary unit.

@@ -1,15 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/telemetry"
 )
 
@@ -72,7 +72,7 @@ func renderTop(base string, window time.Duration, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  %-18s %8.2f%-3s %s\n", row.label, cur*row.scale, row.unit, sparkline(vals, 48))
 	}
-	alerts, err := fetchAlerts(base)
+	alerts, err := api.NewClient(base).Alerts(context.Background())
 	if err != nil {
 		return err
 	}
@@ -95,27 +95,8 @@ func queryRange(base, metric string, from, to time.Time, step time.Duration) ([]
 	if step <= 0 {
 		step = time.Second
 	}
-	u := fmt.Sprintf("%s/v1/query?metric=%s&from=%d&to=%d&step=%s",
-		base, url.QueryEscape(metric), from.Unix(), to.Unix(), step.Truncate(time.Millisecond))
-	resp, err := http.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var env remoteError
-		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error.Message != "" {
-			return nil, fmt.Errorf("%s: %s", env.Error.Code, env.Error.Message)
-		}
-		return nil, fmt.Errorf("GET /v1/query: status %d", resp.StatusCode)
-	}
-	var qr struct {
-		Series []telemetry.SeriesResult `json:"series"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return nil, err
-	}
-	return qr.Series, nil
+	qr, err := api.NewClient(base).Query(context.Background(), metric, from, to, step.Truncate(time.Millisecond))
+	return qr.Series, err
 }
 
 // flattenAvg folds all matched series into one value list, summing
@@ -175,26 +156,6 @@ func sparkline(vals []float64, width int) string {
 	return b.String()
 }
 
-// fetchAlerts pulls /v1/alerts.
-func fetchAlerts(base string) (alertsPayload, error) {
-	var ap alertsPayload
-	resp, err := http.Get(base + "/v1/alerts")
-	if err != nil {
-		return ap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ap, fmt.Errorf("GET /v1/alerts: status %d", resp.StatusCode)
-	}
-	return ap, json.NewDecoder(resp.Body).Decode(&ap)
-}
-
-// alertsPayload mirrors tuneserve's /v1/alerts response.
-type alertsPayload struct {
-	Firing int                     `json:"firing"`
-	Alerts []telemetry.AlertStatus `json:"alerts"`
-}
-
 // runAlerts implements `tunectl alerts`: the rule table with lifecycle
 // states, firing first.
 func runAlerts(args []string, out io.Writer) error {
@@ -204,7 +165,7 @@ func runAlerts(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ap, err := fetchAlerts(strings.TrimSuffix(*server, "/"))
+	ap, err := api.NewClient(*server).Alerts(context.Background())
 	if err != nil {
 		return err
 	}

@@ -1,72 +1,12 @@
 package main
 
 import (
-	"math"
 	"net/http"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/jobs"
 	"seamlesstune/internal/obs"
 )
-
-// explainResponse is the payload of GET /v1/jobs/{id}/explain: the
-// tuner's decision process for one job, folded from the retained event
-// stream — per-phase search progress, the acquisition (EI) trace, the
-// latest surrogate-calibration verdict, and the latest stall verdict.
-// It is a summary over whatever the ring still retains; a job whose
-// events aged out of the ring explains as much as is left.
-type explainResponse struct {
-	Job   string `json:"job"`
-	State string `json:"state"`
-	// Diagnostics echoes whether the job ran with the diagnostics layer;
-	// a false here explains why the phases carry no decide/health data.
-	Diagnostics bool   `json:"diagnostics"`
-	Surrogate   string `json:"surrogate,omitempty"`
-	// Events is how many of the job's events were folded.
-	Events int            `json:"events"`
-	Phases []phaseExplain `json:"phases"`
-}
-
-// phaseExplain summarizes one pipeline phase's tuning loop.
-type phaseExplain struct {
-	Phase  string `json:"phase"`
-	Trials int    `json:"trials"`
-	Failed int    `json:"failed"`
-	// BestSoFar is the phase's best observed objective; Plateau how many
-	// trials have landed since it last improved.
-	BestSoFar float64 `json:"bestSoFar,omitempty"`
-	Plateau   int     `json:"plateau"`
-	// Decisions counts the explained EI-guided proposals; LastEI/PeakEI
-	// the latest and largest chosen-candidate EI, EIDecay their ratio.
-	Decisions int     `json:"decisions"`
-	LastEI    float64 `json:"lastEI,omitempty"`
-	PeakEI    float64 `json:"peakEI,omitempty"`
-	EIDecay   float64 `json:"eiDecay,omitempty"`
-	// ExploitShare is the exploitation fraction of the latest decision's
-	// EI — near 1 the model is refining a known optimum, near 0 it is
-	// still exploring uncertainty.
-	ExploitShare float64 `json:"exploitShare,omitempty"`
-	// Calibration is the latest model_health verdict, Stall the latest
-	// stall verdict (absent until the diagnostics first speak).
-	Calibration *calibrationExplain `json:"calibration,omitempty"`
-	Stall       *stallExplain       `json:"stall,omitempty"`
-}
-
-type calibrationExplain struct {
-	Scores    int     `json:"scores"`
-	Coverage1 float64 `json:"coverage1"`
-	Coverage2 float64 `json:"coverage2"`
-	RMSE      float64 `json:"rmse"`
-	NLPD      float64 `json:"nlpd"`
-	Severity  string  `json:"severity"`
-	Detail    string  `json:"detail,omitempty"`
-}
-
-type stallExplain struct {
-	Plateau  int     `json:"plateau"`
-	EIDecay  float64 `json:"eiDecay"`
-	Severity string  `json:"severity"`
-	Detail   string  `json:"detail,omitempty"`
-}
 
 // handleExplain serves the tuner-introspection summary for one job.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -76,26 +16,25 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no job %q", id)
 		return
 	}
-	resp := explainJob(job, s.events.Snapshot(0))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, explainJob(job, s.events.Snapshot(0)))
 }
 
 // explainJob folds the job's retained events into the explain summary.
 // Pure so tests can drive it with synthetic streams.
-func explainJob(job jobs.Job, events []obs.Event) explainResponse {
-	resp := explainResponse{
+func explainJob(job jobs.Job, events []obs.Event) api.ExplainResponse {
+	resp := api.ExplainResponse{
 		Job:         job.ID,
 		State:       string(job.State),
 		Diagnostics: job.Diagnostics,
 		Surrogate:   job.Surrogate,
 	}
-	byPhase := map[string]*phaseExplain{}
+	byPhase := map[string]*api.PhaseExplain{}
 	order := []string{}
-	phase := func(name string) *phaseExplain {
+	phase := func(name string) *api.PhaseExplain {
 		if p, ok := byPhase[name]; ok {
 			return p
 		}
-		p := &phaseExplain{Phase: name}
+		p := &api.PhaseExplain{Phase: name}
 		byPhase[name] = p
 		order = append(order, name)
 		return p
@@ -118,8 +57,8 @@ func explainJob(job jobs.Job, events []obs.Event) explainResponse {
 			// BestSoFar rides on trial events once a success landed; a new
 			// incumbent (zero regret on a success) resets the plateau.
 			if e.BestSoFar != 0 {
-				improved := !e.Failed && e.RegretS == 0 && finiteOr0(e.BestSoFar) != p.BestSoFar
-				p.BestSoFar = finiteOr0(e.BestSoFar)
+				improved := !e.Failed && e.RegretS == 0 && obs.Finite(e.BestSoFar) != p.BestSoFar
+				p.BestSoFar = obs.Finite(e.BestSoFar)
 				if improved {
 					p.Plateau = 0
 				} else {
@@ -129,29 +68,29 @@ func explainJob(job jobs.Job, events []obs.Event) explainResponse {
 		case obs.EventDecide:
 			p := phase(e.Phase)
 			p.Decisions++
-			p.LastEI = finiteOr0(e.EI)
+			p.LastEI = obs.Finite(e.EI)
 			if p.LastEI > p.PeakEI {
 				p.PeakEI = p.LastEI
 			}
 			if sum := e.EIExploit + e.EIExplore; sum > 0 {
-				p.ExploitShare = finiteOr0(e.EIExploit / sum)
+				p.ExploitShare = obs.Finite(e.EIExploit / sum)
 			}
 		case obs.EventModelHealth:
 			p := phase(e.Phase)
-			p.Calibration = &calibrationExplain{
+			p.Calibration = &api.CalibrationExplain{
 				Scores:    e.Scores,
-				Coverage1: finiteOr0(e.Coverage1),
-				Coverage2: finiteOr0(e.Coverage2),
-				RMSE:      finiteOr0(e.RMSE),
-				NLPD:      finiteOr0(e.NLPD),
+				Coverage1: obs.Finite(e.Coverage1),
+				Coverage2: obs.Finite(e.Coverage2),
+				RMSE:      obs.Finite(e.RMSE),
+				NLPD:      obs.Finite(e.NLPD),
 				Severity:  e.Severity,
 				Detail:    e.Detail,
 			}
 		case obs.EventStall:
 			p := phase(e.Phase)
-			p.Stall = &stallExplain{
+			p.Stall = &api.StallExplain{
 				Plateau:  e.Plateau,
-				EIDecay:  finiteOr0(e.EIDecay),
+				EIDecay:  obs.Finite(e.EIDecay),
 				Severity: e.Severity,
 				Detail:   e.Detail,
 			}
@@ -165,13 +104,4 @@ func explainJob(job jobs.Job, events []obs.Event) explainResponse {
 		resp.Phases = append(resp.Phases, *p)
 	}
 	return resp
-}
-
-// finiteOr0 keeps the explain document valid JSON: encoding/json
-// rejects non-finite floats.
-func finiteOr0(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/jobs"
 	"seamlesstune/internal/obs"
 )
@@ -103,7 +104,7 @@ func TestExplainEndpointEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("explain status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp explainResponse
+	var resp api.ExplainResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExplainWithDiagnosticsDisabled(t *testing.T) {
 	awaitJob(t, s, jv.ID)
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jv.ID+"/explain", nil))
-	var resp explainResponse
+	var resp api.ExplainResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"seamlesstune/internal/api"
 )
 
 // TestMetricsEndpoint drives one tuning pipeline through the API and
@@ -97,7 +99,7 @@ func TestUnmatchedRoutesGetJSONEnvelope(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var env errorEnvelope
+	var env api.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatalf("404 body is not the JSON envelope: %v: %s", err, rec.Body.String())
 	}
@@ -129,7 +131,7 @@ func TestHealthzReadiness(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var hr healthResponse
+	var hr api.HealthResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/confspace"
 	"seamlesstune/internal/core"
 	"seamlesstune/internal/history"
@@ -250,30 +252,8 @@ func (s *server) foldUsage(e obs.Event) {
 	}
 }
 
-// healthResponse is the readiness payload: liveness plus enough state to
-// judge whether the instance can take tuning work right now.
-type healthResponse struct {
-	Status    string         `json:"status"`
-	UptimeS   float64        `json:"uptimeS"`
-	GoVersion string         `json:"goVersion,omitempty"`
-	Revision  string         `json:"revision,omitempty"`
-	Engine    jobs.Stats     `json:"engine"`
-	Events    obs.EventStats `json:"events"`
-	Storage   storage.Stats  `json:"storage"`
-	// Telemetry summarizes the embedded time-series store (the storage
-	// block's telemetryBlocks/telemetryDropped count its durable side);
-	// AlertsFiring is the number of alert rules currently firing.
-	Telemetry    telemetry.Stats `json:"telemetry"`
-	AlertsFiring int             `json:"alertsFiring,omitempty"`
-	// PersistFailures and PersistError report history records that
-	// completed in memory but failed to become durable; any failure
-	// flips Status to "degraded".
-	PersistFailures int64  `json:"persistFailures,omitempty"`
-	PersistError    string `json:"persistError,omitempty"`
-}
-
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := healthResponse{
+	resp := api.HealthResponse{
 		Status:       "ok",
 		UptimeS:      time.Since(s.started).Seconds(),
 		Engine:       s.engine.Stats(),
@@ -300,38 +280,8 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// tuneRequest is the tenant-facing submission: the workload, an input
-// size, and optionally a high-level objective — no knobs, per the
-// paper's principle 1.
-type tuneRequest struct {
-	Tenant   string  `json:"tenant"`
-	Workload string  `json:"workload"`
-	InputGB  float64 `json:"inputGB"`
-	// Objective attaches SLO clauses to the session; sessions evaluate
-	// them live and stream slo_violation events on breach.
-	Objective *objectivePayload `json:"objective,omitempty"`
-	// Surrogate selects the model backend BayesOpt sessions fit: "gp"
-	// (exact, the default), "rffgp", or "forest". Empty defers to the
-	// server's configured default.
-	Surrogate string `json:"surrogate,omitempty"`
-	// Pruning opts the job's stage-2 session into significance-aware
-	// config-space pruning: the tuner analyzes knob importances as
-	// evidence accumulates and collapses the search onto the significant
-	// knobs. Off by default (or on, if the server runs with -prune).
-	Pruning bool `json:"pruning,omitempty"`
-}
-
-// objectivePayload is the wire form of an slo.Objective plus the
-// session-level tuning-spend cap.
-type objectivePayload struct {
-	WithinPctOfOptimal float64 `json:"withinPctOfOptimal,omitempty"`
-	DeadlineS          float64 `json:"deadlineS,omitempty"`
-	BudgetUSDPerRun    float64 `json:"budgetUSDPerRun,omitempty"`
-	TuningBudgetUSD    float64 `json:"tuningBudgetUSD,omitempty"`
-}
-
-// registration validates the request against the workload registry.
-func (req tuneRequest) registration() (core.Registration, error) {
+// registration validates a tune request against the workload registry.
+func registration(req api.TuneRequest) (core.Registration, error) {
 	wl, err := workload.ByName(req.Workload)
 	if err != nil {
 		return core.Registration{}, fmt.Errorf("%v (known: %v)", err, workload.Names())
@@ -367,28 +317,8 @@ func (req tuneRequest) registration() (core.Registration, error) {
 	return reg, nil
 }
 
-// tuneResponse reports what the pipeline chose and achieved.
-type tuneResponse struct {
-	Cluster         string           `json:"cluster"`
-	Config          confspace.Config `json:"config"`
-	DefaultRuntimeS float64          `json:"defaultRuntimeS"`
-	TunedRuntimeS   float64          `json:"tunedRuntimeS"`
-	ImprovementPct  float64          `json:"improvementPct"`
-	TuningCostUSD   float64          `json:"tuningCostUSD"`
-	WarmStarted     bool             `json:"warmStarted"`
-	WarmSource      string           `json:"warmSource,omitempty"`
-	Surrogate       string           `json:"surrogate,omitempty"`
-	// Pruning echoes whether stage 2 ran with config-space pruning;
-	// ActiveDims/TotalDims report the final search dimension and
-	// PrunedKnobs the knobs pinned at session end.
-	Pruning     bool     `json:"pruning,omitempty"`
-	ActiveDims  int      `json:"activeDims,omitempty"`
-	TotalDims   int      `json:"totalDims,omitempty"`
-	PrunedKnobs []string `json:"prunedKnobs,omitempty"`
-}
-
-func toTuneResponse(res core.PipelineResult) tuneResponse {
-	resp := tuneResponse{
+func toTuneResponse(res core.PipelineResult) api.TuneResponse {
+	resp := api.TuneResponse{
 		Cluster:         res.Cloud.Cluster.String(),
 		Config:          res.DISC.Config,
 		DefaultRuntimeS: res.DefaultRuntimeS,
@@ -414,8 +344,16 @@ const maxJobSpecBytes = 1 << 20
 
 // submit validates a tune request and enqueues the pipeline as a job.
 func (s *server) submit(w http.ResponseWriter, r *http.Request) (jobs.Job, bool) {
-	var req tuneRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&req); err != nil {
+	// Strict: a misspelled field ("prunning") must not silently tune
+	// without the option it meant, and nothing may follow the spec.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	dec.DisallowUnknownFields()
+	var req api.TuneRequest
+	err := dec.Decode(&req)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("unexpected data after the JSON object")
+	}
+	if err != nil {
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "invalid_argument",
 				"job spec exceeds %d bytes", tooLarge.Limit)
@@ -424,7 +362,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) (jobs.Job, bool)
 		writeError(w, http.StatusBadRequest, "invalid_argument", "bad request body: %v", err)
 		return jobs.Job{}, false
 	}
-	reg, err := req.registration()
+	reg, err := registration(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return jobs.Job{}, false
@@ -566,18 +504,8 @@ func (s *server) handleEffectiveness(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// errorEnvelope is the uniform error shape of the API.
-type errorEnvelope struct {
-	Error apiError `json:"error"`
-}
-
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: apiError{
+	writeJSON(w, status, api.ErrorEnvelope{Error: api.Error{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

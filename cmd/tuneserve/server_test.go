@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/jobs"
 )
 
@@ -117,7 +118,7 @@ func TestTuneEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp tuneResponse
+	var resp api.TuneResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestJobLifecycle(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp tuneResponse
+	var resp api.TuneResponse
 	if err := json.Unmarshal(final.Result, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +334,8 @@ func TestTuneValidation(t *testing.T) {
 
 // TestOversizedJobSpec sends a job spec that is valid JSON but larger
 // than the body limit: it must be refused with the error envelope before
-// anything is enqueued. Under the limit the same spec would be accepted,
-// since unknown fields are ignored.
+// anything is enqueued. The size check answers first: under the limit
+// the same spec would get a 400 for its unknown "pad" field.
 func TestOversizedJobSpec(t *testing.T) {
 	s := testServer(t)
 	body := `{"tenant":"acme","workload":"wordcount","inputGB":2,"pad":"` +
@@ -345,13 +346,41 @@ func TestOversizedJobSpec(t *testing.T) {
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s status = %d, want 413", path, rec.Code)
 		}
-		var env errorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_argument" {
 			t.Errorf("POST %s body = %.200s, want error envelope", path, rec.Body.String())
 		}
 	}
 	if n := len(s.engine.List()); n != 0 {
 		t.Errorf("oversized specs enqueued %d jobs, want 0", n)
+	}
+}
+
+// TestStrictJobSpec refuses a job spec with an unknown field (a typo
+// that would silently tune without the option it meant) or with data
+// after the JSON object, on both submission routes, before anything is
+// enqueued.
+func TestStrictJobSpec(t *testing.T) {
+	s := testServer(t)
+	const spec = `{"tenant":"acme","workload":"wordcount","inputGB":2`
+	for _, tt := range []struct{ body, want string }{
+		{spec + `,"prunning":true}`, `unknown field \"prunning\"`},
+		{spec + `}{}`, "unexpected data after the JSON object"},
+		{spec + `} x`, "unexpected data after the JSON object"},
+	} {
+		for _, path := range []string{"/v1/jobs", "/v1/tune"} {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(tt.body)))
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+				env.Error.Code != "invalid_argument" || !strings.Contains(rec.Body.String(), tt.want) {
+				t.Errorf("POST %s %s: status %d body %s, want 400 invalid_argument naming %s",
+					path, tt.body, rec.Code, rec.Body.String(), tt.want)
+			}
+		}
+	}
+	if n := len(s.engine.List()); n != 0 {
+		t.Errorf("refused specs enqueued %d jobs, want 0", n)
 	}
 }
 
@@ -468,7 +497,7 @@ func TestJobSurrogateSelection(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp tuneResponse
+	var resp api.TuneResponse
 	if err := json.Unmarshal(final.Result, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +532,7 @@ func TestJobSurrogateSelection(t *testing.T) {
 // wantSurrogate extracts the expected resolved backend for a request
 // body submitted to the rffgp-default test server.
 func wantSurrogate(body string) string {
-	var req tuneRequest
+	var req api.TuneRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		return ""
 	}
@@ -545,7 +574,7 @@ func TestJobPruningSelection(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp tuneResponse
+	var resp api.TuneResponse
 	if err := json.Unmarshal(final.Result, &resp); err != nil {
 		t.Fatal(err)
 	}

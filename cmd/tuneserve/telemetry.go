@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/telemetry"
 )
 
@@ -62,22 +63,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if series == nil {
 		series = []telemetry.SeriesResult{}
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	writeJSON(w, http.StatusOK, api.QueryResponse{
 		Metric: metric,
 		FromNS: from.UnixNano(),
 		ToNS:   to.UnixNano(),
 		StepS:  step.Seconds(),
 		Series: series,
 	})
-}
-
-// queryResponse frames a range-query result with its resolved window.
-type queryResponse struct {
-	Metric string                   `json:"metric"`
-	FromNS int64                    `json:"fromNS"`
-	ToNS   int64                    `json:"toNS"`
-	StepS  float64                  `json:"stepS"`
-	Series []telemetry.SeriesResult `json:"series"`
 }
 
 // parseQueryTime accepts unix seconds (integer or fractional) or
@@ -92,16 +84,10 @@ func parseQueryTime(v string, def time.Time) (time.Time, error) {
 	return time.Parse(time.RFC3339, v)
 }
 
-// alertsResponse frames GET /v1/alerts.
-type alertsResponse struct {
-	Firing int                     `json:"firing"`
-	Alerts []telemetry.AlertStatus `json:"alerts"`
-}
-
 // handleAlerts reports every alert rule's lifecycle state, firing rules
 // first.
 func (s *server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, alertsResponse{
+	writeJSON(w, http.StatusOK, api.AlertsResponse{
 		Firing: s.alerts.Firing(),
 		Alerts: s.alerts.Alerts(),
 	})

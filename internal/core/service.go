@@ -74,9 +74,7 @@ type Service struct {
 
 	// storage, when set, is the durable persistence backend: NewService
 	// recovers the store from it and hooks appends into it.
-	// recoveredEvents are the telemetry events the backend replayed.
-	storage         storage.Backend
-	recoveredEvents []obs.Event
+	storage storage.Backend
 
 	// persistFailures counts history records the persist hook failed to
 	// make durable; lastPersistErr (under persistMu) is the most recent
@@ -252,11 +250,11 @@ func NewService(opts ...Option) (*Service, error) {
 	if s.storage != nil {
 		// Recover before hooking: replayed records were already persisted
 		// and must not be re-appended to the backend.
-		events, err := s.storage.Recover(s.store)
-		if err != nil {
+		// The replayed events are discarded: nothing reads them, and on
+		// the wal backend they are every event in the live segments.
+		if _, err := s.storage.Recover(s.store); err != nil {
 			return nil, fmt.Errorf("core: recovering history: %w", err)
 		}
-		s.recoveredEvents = events
 		b := s.storage
 		s.store.SetPersist(func(r history.Record) {
 			if err := b.AppendRecord(r); err != nil {
@@ -278,9 +276,6 @@ func NewService(opts ...Option) (*Service, error) {
 	return s, nil
 }
 
-// Storage returns the attached persistence backend (nil without one).
-func (s *Service) Storage() storage.Backend { return s.storage }
-
 // PersistHealth reports how many history records the persist hook failed
 // to make durable and the most recent failure (nil when every record
 // reached the backend). A non-zero count means completed tuning results
@@ -295,12 +290,6 @@ func (s *Service) PersistHealth() (failures int64, last error) {
 	s.persistMu.Unlock()
 	return failures, last
 }
-
-// RecoveredEvents returns the telemetry events the storage backend
-// replayed at construction, oldest first. They are history, not live
-// traffic: republishing them to an event log would re-stamp sequence
-// numbers and re-persist them.
-func (s *Service) RecoveredEvents() []obs.Event { return s.recoveredEvents }
 
 // Pruning returns the service-wide default for significance-aware
 // config-space pruning.

@@ -112,8 +112,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	for fi := range s.Families {
 		for si := range s.Families[fi].Series {
 			ss := &s.Families[fi].Series[si]
-			ss.Value = finite(ss.Value)
-			ss.Sum = finite(ss.Sum)
+			ss.Value = Finite(ss.Value)
+			ss.Sum = Finite(ss.Sum)
 			for q, v := range ss.Quantiles {
 				if math.IsInf(v, 0) || math.IsNaN(v) {
 					ss.Quantiles[q] = 0
@@ -126,7 +126,9 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-func finite(v float64) float64 {
+// Finite maps NaN and ±Inf to 0, keeping a value encodable:
+// encoding/json rejects non-finite floats.
+func Finite(v float64) float64 {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return 0
 	}

@@ -183,6 +183,3 @@ func Open(cfg Config) (Backend, error) {
 		return nil, fmt.Errorf("storage: unknown backend %q (accepted: wal, snapshot, memory)", cfg.Backend)
 	}
 }
-
-// Backends lists the accepted backend names.
-func Backends() []string { return []string{"wal", "snapshot", "memory"} }

@@ -399,16 +399,6 @@ func (l *Log) RemoveThrough(through uint64) error {
 	return firstErr
 }
 
-// Segments returns the on-disk segments, oldest first, active last.
-func (l *Log) Segments() []SegmentInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SegmentInfo, 0, len(l.sealed)+1)
-	out = append(out, l.sealed...)
-	out = append(out, SegmentInfo{Index: l.activeIndex, Bytes: l.activeSize, Path: segmentPath(l.dir, l.activeIndex)})
-	return out
-}
-
 func (l *Log) segmentCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
