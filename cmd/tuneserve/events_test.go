@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/cloud"
 	"seamlesstune/internal/obs"
 )
@@ -78,10 +79,7 @@ func submitEventsJob(t *testing.T, s *server) string {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var jv jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-		t.Fatal(err)
-	}
+	jv := decodeJob(t, rec.Body.Bytes())
 	return jv.ID
 }
 
@@ -475,12 +473,8 @@ func TestHealthzReportsEvents(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var hr struct {
-		Events obs.EventStats `json:"events"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
-	}
+	var hr api.HealthResponse
+	decodeStrict(t, rec.Body.Bytes(), &hr)
 	if hr.Events.Published == 0 || hr.Events.Capacity == 0 {
 		t.Errorf("healthz events stats empty: %+v", hr.Events)
 	}

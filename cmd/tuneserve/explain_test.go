@@ -93,10 +93,7 @@ func TestExplainEndpointEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var jv jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-		t.Fatal(err)
-	}
+	jv := decodeJob(t, rec.Body.Bytes())
 	awaitJob(t, s, jv.ID)
 
 	rec = httptest.NewRecorder()
@@ -156,10 +153,7 @@ func TestExplainWithDiagnosticsDisabled(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
 		strings.NewReader(`{"tenant":"acme","workload":"wordcount","inputGB":2}`)))
-	var jv jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-		t.Fatal(err)
-	}
+	jv := decodeJob(t, rec.Body.Bytes())
 	awaitJob(t, s, jv.ID)
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jv.ID+"/explain", nil))

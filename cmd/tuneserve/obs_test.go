@@ -159,10 +159,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var job jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
-		t.Fatal(err)
-	}
+	job := decodeJob(t, rec.Body.Bytes())
 	awaitJob(t, s, job.ID)
 
 	rec = httptest.NewRecorder()

@@ -284,7 +284,8 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func registration(req api.TuneRequest) (core.Registration, error) {
 	wl, err := workload.ByName(req.Workload)
 	if err != nil {
-		return core.Registration{}, fmt.Errorf("%v (known: %v)", err, workload.Names())
+		return core.Registration{}, fmt.Errorf("unknown workload %q (known: %s)",
+			req.Workload, strings.Join(workload.Names(), ", "))
 	}
 	if req.InputGB <= 0 {
 		return core.Registration{}, fmt.Errorf("inputGB must be positive")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,20 +26,34 @@ func testServer(t *testing.T) *server {
 	return s
 }
 
-// jobView mirrors jobs.Job with the result kept raw so tests can compare
-// payload bytes.
-type jobView struct {
-	ID        string          `json:"id"`
-	Tenant    string          `json:"tenant"`
-	State     jobs.State      `json:"state"`
-	Result    json.RawMessage `json:"result"`
-	Error     string          `json:"error"`
-	StartSeq  int64           `json:"startSeq"`
-	FinishSeq int64           `json:"finishSeq"`
+// decodeStrict decodes one response body into v, failing the test on a
+// field v's type does not declare.
+func decodeStrict(t testing.TB, raw []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("decoding %T: %v in %.300s", v, err, raw)
+	}
+}
+
+// decodeJob decodes a job body into jobs.Job, a done job's result into
+// api.TuneResponse.
+func decodeJob(t testing.TB, raw []byte) jobs.Job {
+	t.Helper()
+	job := jobs.Job{Result: new(api.TuneResponse)}
+	decodeStrict(t, raw, &job)
+	return job
+}
+
+// tuneResult returns a decoded job's tune result.
+func tuneResult(job jobs.Job) *api.TuneResponse {
+	res, _ := job.Result.(*api.TuneResponse)
+	return res
 }
 
 // awaitJob polls GET /v1/jobs/{id} until the job is terminal.
-func awaitJob(t *testing.T, s *server, id string) jobView {
+func awaitJob(t *testing.T, s *server, id string) jobs.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -47,17 +62,13 @@ func awaitJob(t *testing.T, s *server, id string) jobView {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /v1/jobs/%s status = %d: %s", id, rec.Code, rec.Body.String())
 		}
-		var jv jobView
-		if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-			t.Fatal(err)
-		}
-		if jv.State.Terminal() {
-			return jv
+		if job := decodeJob(t, rec.Body.Bytes()); job.State.Terminal() {
+			return job
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish in time", id)
-	return jobView{}
+	return jobs.Job{}
 }
 
 func TestHealthz(t *testing.T) {
@@ -90,12 +101,8 @@ func TestHealthzReportsSimCache(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var health struct {
-		Engine jobs.Stats `json:"engine"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatal(err)
-	}
+	var health api.HealthResponse
+	decodeStrict(t, rec.Body.Bytes(), &health)
 	if health.Engine.Cache == nil {
 		t.Fatalf("healthz engine stats missing cache: %s", rec.Body.String())
 	}
@@ -157,9 +164,11 @@ func TestTuneEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("jobs status = %d", rec.Code)
 	}
-	var list []jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
+	var raw []json.RawMessage
+	decodeStrict(t, rec.Body.Bytes(), &raw)
+	var list []jobs.Job
+	for _, r := range raw {
+		list = append(list, decodeJob(t, r))
 	}
 	if len(list) != 1 || list[0].State != jobs.StateDone {
 		t.Errorf("jobs = %+v", list)
@@ -174,10 +183,7 @@ func TestJobLifecycle(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var submitted jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &submitted); err != nil {
-		t.Fatal(err)
-	}
+	submitted := decodeJob(t, rec.Body.Bytes())
 	if submitted.ID == "" || submitted.Tenant != "acme" {
 		t.Fatalf("submitted job = %+v", submitted)
 	}
@@ -189,10 +195,7 @@ func TestJobLifecycle(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp api.TuneResponse
-	if err := json.Unmarshal(final.Result, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := tuneResult(final)
 	if resp.TunedRuntimeS <= 0 {
 		t.Errorf("degenerate result: %+v", resp)
 	}
@@ -248,25 +251,26 @@ func TestConcurrentJobsMatchSequential(t *testing.T) {
 			if rec.Code != http.StatusAccepted {
 				t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 			}
-			var jv jobView
-			if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-				t.Fatal(err)
-			}
+			jv := decodeJob(t, rec.Body.Bytes())
 			ids = append(ids, jv.ID)
 		}
 		results := make(map[string][]string)
-		finals := make(map[string]jobView)
+		finals := make(map[string]jobs.Job)
 		for i, id := range ids {
 			final := awaitJob(t, s, id)
 			if final.State != jobs.StateDone {
 				t.Fatalf("job %s (%s) failed: %s", id, submissions[i].tenant, final.Error)
 			}
-			results[final.Tenant] = append(results[final.Tenant], string(final.Result))
+			payload, err := json.Marshal(tuneResult(final))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[final.Tenant] = append(results[final.Tenant], string(payload))
 			finals[id] = final
 		}
 		// Per-tenant FIFO: on the engine's event clock, each job of a
 		// tenant starts strictly after the tenant's previous job finished.
-		prev := make(map[string]jobView)
+		prev := make(map[string]jobs.Job)
 		for _, id := range ids {
 			jv := finals[id]
 			if p, ok := prev[jv.Tenant]; ok && jv.StartSeq <= p.FinishSeq {
@@ -299,11 +303,13 @@ func TestTuneValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		body string
+		msg  string // the exact error message, when asserted
 	}{
-		{"bad json", `{nope`},
-		{"unknown workload", `{"tenant":"a","workload":"nope","inputGB":1}`},
-		{"no tenant", `{"workload":"wordcount","inputGB":1}`},
-		{"bad size", `{"tenant":"a","workload":"wordcount","inputGB":0}`},
+		{"bad json", `{nope`, ""},
+		{"unknown workload", `{"tenant":"a","workload":"nope","inputGB":1}`,
+			`unknown workload "nope" (known: bayes, join, kmeans, pagerank, sort, wordcount)`},
+		{"no tenant", `{"workload":"wordcount","inputGB":1}`, ""},
+		{"bad size", `{"tenant":"a","workload":"wordcount","inputGB":0}`, ""},
 	}
 	for _, path := range []string{"/v1/tune", "/v1/jobs"} {
 		for _, tt := range tests {
@@ -315,6 +321,13 @@ func TestTuneValidation(t *testing.T) {
 				}
 				if !strings.Contains(rec.Body.String(), `"invalid_argument"`) {
 					t.Errorf("body = %s, want error envelope", rec.Body.String())
+				}
+				if tt.msg != "" {
+					var env api.ErrorEnvelope
+					decodeStrict(t, rec.Body.Bytes(), &env)
+					if env.Error.Message != tt.msg {
+						t.Errorf("message = %q, want %q", env.Error.Message, tt.msg)
+					}
 				}
 			})
 		}
@@ -471,24 +484,18 @@ func TestJobSurrogateSelection(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	submit := func(body string) jobView {
+	submit := func(body string) jobs.Job {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 		}
-		var jv struct {
-			jobView
-			Surrogate string `json:"surrogate"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-			t.Fatal(err)
-		}
+		jv := decodeJob(t, rec.Body.Bytes())
 		if want := wantSurrogate(body); jv.Surrogate != want {
 			t.Fatalf("submitted job surrogate = %q, want %q (body %s)", jv.Surrogate, want, body)
 		}
-		return jv.jobView
+		return jv
 	}
 
 	// Explicit request override beats the server default.
@@ -497,10 +504,7 @@ func TestJobSurrogateSelection(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp api.TuneResponse
-	if err := json.Unmarshal(final.Result, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := tuneResult(final)
 	if resp.Surrogate != "forest" {
 		t.Errorf("result surrogate = %q, want forest", resp.Surrogate)
 	}
@@ -508,9 +512,7 @@ func TestJobSurrogateSelection(t *testing.T) {
 	// Blank request resolves to the server-wide default.
 	jv = submit(`{"tenant":"acme","workload":"sort","inputGB":2}`)
 	final = awaitJob(t, s, jv.ID)
-	if err := json.Unmarshal(final.Result, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp = tuneResult(final)
 	if resp.Surrogate != "rffgp" {
 		t.Errorf("default result surrogate = %q, want server default rffgp", resp.Surrogate)
 	}
@@ -548,21 +550,15 @@ func wantSurrogate(body string) string {
 func TestJobPruningSelection(t *testing.T) {
 	s := testServer(t)
 
-	submit := func(srv *server, body string) (jobView, bool) {
+	submit := func(srv *server, body string) (jobs.Job, bool) {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 		}
-		var jv struct {
-			jobView
-			Pruning bool `json:"pruning"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-			t.Fatal(err)
-		}
-		return jv.jobView, jv.Pruning
+		jv := decodeJob(t, rec.Body.Bytes())
+		return jv, jv.Pruning
 	}
 
 	// Request opt-in: echoed on the job record and the result payload.
@@ -574,12 +570,9 @@ func TestJobPruningSelection(t *testing.T) {
 	if final.State != jobs.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	var resp api.TuneResponse
-	if err := json.Unmarshal(final.Result, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := tuneResult(final)
 	if !resp.Pruning {
-		t.Errorf("result pruning = false, want true: %s", final.Result)
+		t.Errorf("result pruning = false, want true: %+v", resp)
 	}
 	if resp.TotalDims != 10 {
 		t.Errorf("result totalDims = %d, want 10 (params 10)", resp.TotalDims)
@@ -593,9 +586,11 @@ func TestJobPruningSelection(t *testing.T) {
 	if pruning {
 		t.Error("default submission reports pruning")
 	}
-	final = awaitJob(t, s, jv.ID)
-	if strings.Contains(string(final.Result), `"pruning"`) {
-		t.Errorf("default result carries a pruning field: %s", final.Result)
+	awaitJob(t, s, jv.ID)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jv.ID, nil))
+	if strings.Contains(rec.Body.String(), `"pruning"`) {
+		t.Errorf("default job or result carries a pruning field: %s", rec.Body.String())
 	}
 
 	// Server-wide -prune applies to submissions that do not mention it.
@@ -609,10 +604,7 @@ func TestJobPruningSelection(t *testing.T) {
 		t.Error("server-wide pruning default not echoed on the job record")
 	}
 	final = awaitJob(t, sp, jv.ID)
-	if err := json.Unmarshal(final.Result, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Pruning {
-		t.Errorf("server-wide pruning default missing from result: %s", final.Result)
+	if resp = tuneResult(final); !resp.Pruning {
+		t.Errorf("server-wide pruning default missing from result: %+v", resp)
 	}
 }

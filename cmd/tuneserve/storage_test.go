@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/storage"
 )
 
@@ -30,12 +31,8 @@ func TestWALPersistenceAcrossRestart(t *testing.T) {
 	// /healthz surfaces the backend and its append counters.
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var health struct {
-		Storage storage.Stats `json:"storage"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatal(err)
-	}
+	var health api.HealthResponse
+	decodeStrict(t, rec.Body.Bytes(), &health)
 	if health.Storage.Backend != "wal" {
 		t.Fatalf("healthz backend = %q, want wal", health.Storage.Backend)
 	}
@@ -118,15 +115,8 @@ func TestSubmitShedsUnderBackpressure(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var health struct {
-		Engine struct {
-			Shed         int64 `json:"shed"`
-			Backpressure bool  `json:"backpressure"`
-		} `json:"engine"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatal(err)
-	}
+	var health api.HealthResponse
+	decodeStrict(t, rec.Body.Bytes(), &health)
 	if !health.Engine.Backpressure || health.Engine.Shed != 1 {
 		t.Errorf("healthz backpressure = %+v, want shed=1 backpressure=true", health.Engine)
 	}
@@ -139,10 +129,7 @@ func TestSubmitShedsUnderBackpressure(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit after clearing = %d: %s", rec.Code, rec.Body.String())
 	}
-	var jv jobView
-	if err := json.Unmarshal(rec.Body.Bytes(), &jv); err != nil {
-		t.Fatal(err)
-	}
+	jv := decodeJob(t, rec.Body.Bytes())
 	awaitJob(t, s, jv.ID)
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"seamlesstune/internal/api"
 	"seamlesstune/internal/telemetry"
 )
 
@@ -26,14 +26,8 @@ func TestQueryEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var qr struct {
-		Metric string                   `json:"metric"`
-		StepS  float64                  `json:"stepS"`
-		Series []telemetry.SeriesResult `json:"series"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
-		t.Fatal(err)
-	}
+	var qr api.QueryResponse
+	decodeStrict(t, rec.Body.Bytes(), &qr)
 	if qr.Metric != "jobs_queue_depth" {
 		t.Errorf("metric = %q", qr.Metric)
 	}
@@ -101,10 +95,8 @@ func TestQueryEndpointLabelMatcher(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var qr struct {
-		Series []telemetry.SeriesResult `json:"series"`
-	}
-	json.Unmarshal(rec.Body.Bytes(), &qr)
+	var qr api.QueryResponse
+	decodeStrict(t, rec.Body.Bytes(), &qr)
 	for _, sr := range qr.Series {
 		if sr.Labels["tenant"] != "acme" {
 			t.Errorf("matcher leaked series %+v", sr.Labels)
@@ -119,13 +111,8 @@ func TestAlertsEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var ar struct {
-		Firing int                     `json:"firing"`
-		Alerts []telemetry.AlertStatus `json:"alerts"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
-		t.Fatal(err)
-	}
+	var ar api.AlertsResponse
+	decodeStrict(t, rec.Body.Bytes(), &ar)
 	if len(ar.Alerts) != len(telemetry.DefaultRules()) {
 		t.Fatalf("%d rules exposed, want the %d defaults", len(ar.Alerts), len(telemetry.DefaultRules()))
 	}
@@ -170,12 +157,8 @@ func TestHealthzReportsTelemetry(t *testing.T) {
 	s.telemetry.Poll(time.Now())
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var hr struct {
-		Telemetry telemetry.Stats `json:"telemetry"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
-	}
+	var hr api.HealthResponse
+	decodeStrict(t, rec.Body.Bytes(), &hr)
 	if hr.Telemetry.Series == 0 || hr.Telemetry.Samples == 0 {
 		t.Errorf("healthz telemetry block empty: %+v", hr.Telemetry)
 	}

@@ -90,6 +90,11 @@ type Service struct {
 	// distinct (but still deterministic) random streams.
 	subMu sync.Mutex
 	subs  map[string]int
+
+	// fpMu guards fps, the warm-start fingerprint cache: one entry per
+	// workload key, valid while the key's history Version is unchanged.
+	fpMu sync.Mutex
+	fps  map[history.WorkloadKey]cachedFingerprint
 }
 
 // Option configures a Service.
@@ -224,6 +229,7 @@ func NewService(opts ...Option) (*Service, error) {
 		probeRuns:   3,
 		diagnostics: true,
 		subs:        make(map[string]int),
+		fps:         make(map[history.WorkloadKey]cachedFingerprint),
 	}
 	for _, o := range opts {
 		o(s)
@@ -659,23 +665,28 @@ func (s *Service) tuneDISC(ctx context.Context, reg Registration, cluster cloud.
 
 // warmStart fingerprints the target from its probe runs and looks for an
 // acceptable transfer source among every other workload in the store.
+// It reads the history in place (history.Store.View): the target's own
+// fingerprint is computed fresh, every other key's comes from the
+// fingerprint cache, and only the chosen source's records are turned
+// into trials. The result is the one a full rescan would give.
 func (s *Service) warmStart(reg Registration) (transfer.SourceSelection, []tuner.Trial) {
-	own := s.store.Query(history.Filter{Tenant: reg.Tenant, Workload: reg.Workload.Name()})
-	target, err := transfer.FingerprintOf(transfer.WellConfigured(own))
+	self := history.WorkloadKey{Tenant: reg.Tenant, Workload: reg.Workload.Name()}
+	var target transfer.Fingerprint
+	var err error
+	s.store.View(self.Tenant, self.Workload, func(recs []history.Record, _ history.Version) {
+		target, err = transfer.FingerprintOf(transfer.WellConfigured(recs))
+	})
 	if err != nil {
 		return transfer.SourceSelection{}, nil
 	}
 	candidates := make(map[history.WorkloadKey]transfer.Fingerprint)
 	for _, key := range s.store.Workloads() {
-		if key.Tenant == reg.Tenant && key.Workload == reg.Workload.Name() {
+		if key == self {
 			continue
 		}
-		recs := s.store.Query(history.Filter{Tenant: key.Tenant, Workload: key.Workload})
-		fp, err := transfer.FingerprintOf(transfer.WellConfigured(recs))
-		if err != nil {
-			continue
+		if fp, ok := s.fingerprint(key); ok {
+			candidates[key] = fp
 		}
-		candidates[key] = fp
 	}
 	if len(candidates) == 0 {
 		return transfer.SourceSelection{}, nil
@@ -684,8 +695,43 @@ func (s *Service) warmStart(reg Registration) (transfer.SourceSelection, []tuner
 	if !sel.Accepted {
 		return sel, nil
 	}
-	recs := s.store.Query(history.Filter{Tenant: sel.Source.Tenant, Workload: sel.Source.Workload})
-	return sel, transfer.WarmStartTrials(recs, s.sparkSpace, 20)
+	var trials []tuner.Trial
+	s.store.View(sel.Source.Tenant, sel.Source.Workload, func(recs []history.Record, _ history.Version) {
+		// WarmStartTrials clamps every config into a new map, so nothing
+		// of recs outlives the view.
+		trials = transfer.WarmStartTrials(recs, s.sparkSpace, 20)
+	})
+	return sel, trials
+}
+
+// cachedFingerprint is one key's fingerprint at the history Version it
+// was computed from; ok is false when the key had nothing to fingerprint.
+type cachedFingerprint struct {
+	v  history.Version
+	fp transfer.Fingerprint
+	ok bool
+}
+
+// fingerprint returns key's well-configured fingerprint, recomputing it
+// only when the key's history Version moved since the cached one.
+// Concurrent sessions may race to store entries of different Versions;
+// whichever lands, a stale one is recomputed on its next read.
+func (s *Service) fingerprint(key history.WorkloadKey) (transfer.Fingerprint, bool) {
+	var c cachedFingerprint
+	s.store.View(key.Tenant, key.Workload, func(recs []history.Record, v history.Version) {
+		s.fpMu.Lock()
+		c = s.fps[key]
+		s.fpMu.Unlock()
+		if c.v == v {
+			return
+		}
+		fp, err := transfer.FingerprintOf(transfer.WellConfigured(recs))
+		c = cachedFingerprint{v: v, fp: fp, ok: err == nil}
+		s.fpMu.Lock()
+		s.fps[key] = c
+		s.fpMu.Unlock()
+	})
+	return c.fp, c.ok
 }
 
 // PipelineResult is the outcome of the full Fig. 1 pipeline.
@@ -773,10 +819,25 @@ func sessionOutcome(err error) string {
 // tenants — the §IV-D substitute for the unknowable optimum. ok is false
 // when the store has no successful runs of that workload.
 func (s *Service) BestKnownSecondsPerGB(workloadName string) (float64, bool) {
-	recs := s.store.Query(history.Filter{Workload: workloadName, SucceededOnly: true})
 	best, found := 0.0, false
+	for _, key := range s.store.Workloads() {
+		if workloadName != "" && key.Workload != workloadName {
+			continue
+		}
+		s.store.View(key.Tenant, key.Workload, func(recs []history.Record, _ history.Version) {
+			if v, ok := bestSecondsPerGB(recs); ok && (!found || v < best) {
+				best, found = v, true
+			}
+		})
+	}
+	return best, found
+}
+
+// bestSecondsPerGB is the least runtime per input GB among recs'
+// successful runs with a known input size.
+func bestSecondsPerGB(recs []history.Record) (best float64, found bool) {
 	for _, r := range recs {
-		if r.InputBytes <= 0 {
+		if r.Failed || r.InputBytes <= 0 {
 			continue
 		}
 		v := r.RuntimeS / (float64(r.InputBytes) / (1 << 30))
@@ -800,19 +861,16 @@ type EffectivenessReport struct {
 // Effectiveness reports the SLO tuning-effectiveness metric for one
 // tenant workload.
 func (s *Service) Effectiveness(tenant, workloadName string) (EffectivenessReport, error) {
-	own := s.store.Query(history.Filter{Tenant: tenant, Workload: workloadName, SucceededOnly: true})
-	if len(own) == 0 {
+	var succeeded bool
+	var bestOwn float64
+	s.store.View(tenant, workloadName, func(recs []history.Record, _ history.Version) {
+		for _, r := range recs {
+			succeeded = succeeded || !r.Failed
+		}
+		bestOwn, _ = bestSecondsPerGB(recs)
+	})
+	if !succeeded {
 		return EffectivenessReport{}, fmt.Errorf("core: no successful runs for %s/%s", tenant, workloadName)
-	}
-	bestOwn, found := 0.0, false
-	for _, r := range own {
-		if r.InputBytes <= 0 {
-			continue
-		}
-		v := r.RuntimeS / (float64(r.InputBytes) / (1 << 30))
-		if !found || v < bestOwn {
-			bestOwn, found = v, true
-		}
 	}
 	bestKnown, _ := s.BestKnownSecondsPerGB(workloadName)
 	return EffectivenessReport{

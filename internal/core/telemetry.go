@@ -110,17 +110,6 @@ func (st *sessionTelemetry) attachDiagnostics(tn tuner.Tuner, phase string) {
 	})
 }
 
-// monitorFor returns the phase's diagnostics monitor (nil when none is
-// attached).
-func (st *sessionTelemetry) monitorFor(phase string) *diagnose.Monitor {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.diags[phase]
-}
-
 func (st *sessionTelemetry) sessionStart() {
 	if st == nil {
 		return

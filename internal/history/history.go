@@ -88,23 +88,36 @@ func (f Filter) matches(r Record) bool {
 // one shard.
 const numShards = 16
 
-// shard is one independently locked slice of the history. Records within
-// a shard are in ascending Seq order (Append assigns the sequence number
-// while holding the shard lock).
+// shard is one independently locked slice of the history, grouped by
+// workload key: each key's records are one slice in ascending Seq order
+// (Append assigns the sequence number while holding the shard lock).
+// The per-key slices are the only copy of a record.
 type shard struct {
-	mu      sync.RWMutex
-	records []Record
+	mu   sync.RWMutex
+	keys map[WorkloadKey][]Record
 }
 
-// Store is an append-only, concurrency-safe execution history, sharded by
-// workload key. The zero value is ready to use.
+// Store is an append-only, concurrency-safe execution history, sharded
+// and grouped by workload key. The zero value is ready to use.
 type Store struct {
 	nextSeq atomic.Int64
 	count   atomic.Int64
+	// gen counts Resets. It is written with every shard write-locked and
+	// read under any one shard lock, so a Version read together with a
+	// key's records is consistent with them.
+	gen uint64
 	// persist, when set, observes every appended record (with its
 	// assigned sequence number) — the storage tier's write-ahead hook.
 	persist atomic.Pointer[func(Record)]
 	shards  [numShards]shard
+}
+
+// Version identifies the contents of one key's history: records are only
+// ever appended between Resets, so two reads of a key with equal
+// Versions saw the same records.
+type Version struct {
+	Gen uint64 // the store's Reset count
+	Len int    // the key's record count
 }
 
 // SetPersist installs fn to be called after every Append with the
@@ -128,6 +141,15 @@ func (s *Store) shardFor(tenant, workload string) *shard {
 	return &s.shards[h.Sum32()%numShards]
 }
 
+// add files r under its key; the caller holds sh's write lock.
+func (sh *shard) add(r Record) {
+	if sh.keys == nil {
+		sh.keys = make(map[WorkloadKey][]Record)
+	}
+	k := WorkloadKey{Tenant: r.Tenant, Workload: r.Workload}
+	sh.keys[k] = append(sh.keys[k], r)
+}
+
 // Append adds a record, assigning its sequence number, and returns it.
 func (s *Store) Append(r Record) Record {
 	if r.Config != nil {
@@ -136,7 +158,7 @@ func (s *Store) Append(r Record) Record {
 	sh := s.shardFor(r.Tenant, r.Workload)
 	sh.mu.Lock()
 	r.Seq = int(s.nextSeq.Add(1) - 1)
-	sh.records = append(sh.records, r)
+	sh.add(r)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	if fn := s.persist.Load(); fn != nil {
@@ -148,35 +170,44 @@ func (s *Store) Append(r Record) Record {
 // Len returns the number of records.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
+// View runs fn on one key's records, in Seq order, without copying them,
+// together with the Version they make up. fn runs under the shard's read
+// lock: it must not keep recs (or anything inside them, such as a Config
+// map) after it returns, must not modify them, and must not call back
+// into the store for writing. A key with no records passes nil.
+func (s *Store) View(tenant, workload string, fn func(recs []Record, v Version)) {
+	sh := s.shardFor(tenant, workload)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	recs := sh.keys[WorkloadKey{Tenant: tenant, Workload: workload}]
+	fn(recs, Version{Gen: s.gen, Len: len(recs)})
+}
+
 // Query returns matching records in insertion order (copies). Filters
-// naming both a tenant and a workload read a single shard; broader
-// filters merge all shards.
+// naming both a tenant and a workload read a single key; broader filters
+// merge every matching key by Seq, taking at most MaxN tail records from
+// each when MaxN is set.
 func (s *Store) Query(f Filter) []Record {
 	var out []Record
 	if f.Tenant != "" && f.Workload != "" {
-		sh := s.shardFor(f.Tenant, f.Workload)
-		sh.mu.RLock()
-		for _, r := range sh.records {
-			if f.matches(r) {
-				out = append(out, r)
-			}
-		}
-		sh.mu.RUnlock()
+		s.View(f.Tenant, f.Workload, func(recs []Record, _ Version) {
+			out = f.tail(recs, nil)
+		})
 	} else {
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.RLock()
-			for _, r := range sh.records {
-				if f.matches(r) {
-					out = append(out, r)
+			for k, recs := range sh.keys {
+				if f.matchesKey(k) {
+					out = f.tail(recs, out)
 				}
 			}
 			sh.mu.RUnlock()
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	}
-	if f.MaxN > 0 && len(out) > f.MaxN {
-		out = out[len(out)-f.MaxN:]
+		if f.MaxN > 0 && len(out) > f.MaxN {
+			out = out[len(out)-f.MaxN:]
+		}
 	}
 	for i := range out {
 		if out[i].Config != nil {
@@ -186,26 +217,57 @@ func (s *Store) Query(f Filter) []Record {
 	return out
 }
 
+func (f Filter) matchesKey(k WorkloadKey) bool {
+	return (f.Tenant == "" || k.Tenant == f.Tenant) && (f.Workload == "" || k.Workload == f.Workload)
+}
+
+// tail appends to out the records of one key's Seq-ordered slice that
+// pass f — the last MaxN of them when MaxN is set — in Seq order.
+func (f Filter) tail(recs, out []Record) []Record {
+	if f.MaxN <= 0 {
+		for _, r := range recs {
+			if f.matches(r) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	lo := len(recs)
+	for n := 0; lo > 0 && n < f.MaxN; {
+		lo--
+		if f.matches(recs[lo]) {
+			n++
+		}
+	}
+	for _, r := range recs[lo:] {
+		if f.matches(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Workloads returns the distinct (tenant, workload) pairs present, in
 // first-appearance order.
 func (s *Store) Workloads() []WorkloadKey {
-	first := make(map[WorkloadKey]int)
+	type first struct {
+		key WorkloadKey
+		seq int
+	}
+	var keys []first
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.records {
-			k := WorkloadKey{Tenant: r.Tenant, Workload: r.Workload}
-			if seq, ok := first[k]; !ok || r.Seq < seq {
-				first[k] = r.Seq
-			}
+		for k, recs := range sh.keys {
+			keys = append(keys, first{k, recs[0].Seq})
 		}
 		sh.mu.RUnlock()
 	}
-	out := make([]WorkloadKey, 0, len(first))
-	for k := range first {
-		out = append(out, k)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
+	out := make([]WorkloadKey, len(keys))
+	for i, k := range keys {
+		out[i] = k.key
 	}
-	sort.Slice(out, func(i, j int) bool { return first[out[i]] < first[out[j]] })
 	return out
 }
 
@@ -257,7 +319,9 @@ func (s *Store) Save(w io.Writer) error {
 	unlock := s.lockAll()
 	var all []Record
 	for i := range s.shards {
-		all = append(all, s.shards[i].records...)
+		for _, recs := range s.shards[i].keys {
+			all = append(all, recs...)
+		}
 	}
 	unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
@@ -276,24 +340,28 @@ func (s *Store) Load(r io.Reader) error {
 }
 
 // Reset replaces the store's contents with records — the recovery
-// entry point. Records may arrive in any order; they land in each shard
-// in ascending Seq order and the next sequence number continues past the
+// entry point — and starts a new generation, so every key's Version
+// changes. Records may arrive in any order; they land under their key in
+// ascending Seq order and the next sequence number continues past the
 // highest seen. The persist hook is not called: these records were
 // already persisted.
 func (s *Store) Reset(records []Record) {
-	records = append([]Record(nil), records...)
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	unlock := s.lockAll()
 	defer unlock()
 	for i := range s.shards {
-		s.shards[i].records = nil
+		s.shards[i].keys = nil
 	}
+	s.gen++
 	nextSeq := int64(0)
 	for _, rec := range records {
-		sh := s.shardFor(rec.Tenant, rec.Workload)
-		sh.records = append(sh.records, rec)
+		s.shardFor(rec.Tenant, rec.Workload).add(rec)
 		if int64(rec.Seq) >= nextSeq {
 			nextSeq = int64(rec.Seq) + 1
+		}
+	}
+	for i := range s.shards {
+		for _, recs := range s.shards[i].keys {
+			sort.Slice(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
 		}
 	}
 	s.nextSeq.Store(nextSeq)

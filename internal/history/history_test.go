@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -212,6 +213,102 @@ func TestConcurrentDistinctTenants(t *testing.T) {
 			t.Fatalf("global order broken at %d: %d after %d", i, all[i].Seq, all[i-1].Seq)
 		}
 	}
+}
+
+// View hands out one key's records in Seq order with a Version that
+// grows with appends to that key only and changes on every Reset, even
+// one that restores the same lengths.
+func TestViewVersion(t *testing.T) {
+	var s Store
+	view := func(tenant, wl string) ([]float64, Version) {
+		var rts []float64
+		var ver Version
+		s.View(tenant, wl, func(recs []Record, v Version) {
+			for _, r := range recs {
+				rts = append(rts, r.RuntimeS)
+			}
+			ver = v
+		})
+		return rts, ver
+	}
+	if rts, v := view("t", "w"); rts != nil || v != (Version{}) {
+		t.Fatalf("empty store view = %v, %+v", rts, v)
+	}
+	s.Append(rec("t", "w", 1, false))
+	s.Append(rec("u", "w", 2, false))
+	s.Append(rec("t", "w", 3, true))
+	rts, v1 := view("t", "w")
+	if !reflect.DeepEqual(rts, []float64{1, 3}) || v1 != (Version{Gen: 0, Len: 2}) {
+		t.Fatalf("view = %v, %+v", rts, v1)
+	}
+	s.Append(rec("u", "w", 4, false))
+	if _, v := view("t", "w"); v != v1 {
+		t.Errorf("append to another key moved the version: %+v -> %+v", v1, v)
+	}
+	s.Reset(s.Query(Filter{}))
+	if rts, v := view("t", "w"); !reflect.DeepEqual(rts, []float64{1, 3}) || v == v1 || v.Len != 2 {
+		t.Errorf("after Reset: view = %v, %+v (was %+v)", rts, v, v1)
+	}
+}
+
+// A broad Query with MaxN takes the last MaxN matching records across
+// keys, skipping non-matching ones inside each key's tail.
+func TestQueryMaxNAcrossKeys(t *testing.T) {
+	var s Store
+	s.Append(rec("a", "w", 1, false))
+	s.Append(rec("b", "w", 2, false))
+	s.Append(rec("a", "w", 3, true))
+	s.Append(rec("a", "w", 4, true))
+	s.Append(rec("b", "v", 5, false))
+	s.Append(rec("c", "w", 6, true))
+	var got []float64
+	for _, r := range s.Query(Filter{Workload: "w", SucceededOnly: true, MaxN: 2}) {
+		got = append(got, r.RuntimeS)
+	}
+	if !reflect.DeepEqual(got, []float64{1, 2}) {
+		t.Errorf("succeeded w, MaxN 2 = %v, want [1 2]", got)
+	}
+	got = nil
+	for _, r := range s.Query(Filter{MaxN: 3}) {
+		got = append(got, r.RuntimeS)
+	}
+	if !reflect.DeepEqual(got, []float64{4, 5, 6}) {
+		t.Errorf("all, MaxN 3 = %v, want [4 5 6]", got)
+	}
+}
+
+// View readers run beside appends to the same key and Resets without a
+// data race (run under -race), and always see a Seq-ordered slice whose
+// length matches their Version.
+func TestConcurrentViewAppendReset(t *testing.T) {
+	var s Store
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				switch {
+				case i == 0 && j%50 == 49:
+					s.Reset(s.Query(Filter{}))
+				case i%2 == 0:
+					s.Append(rec("t", "w", float64(j), false))
+				default:
+					s.View("t", "w", func(recs []Record, v Version) {
+						if len(recs) != v.Len {
+							t.Errorf("len %d, version %+v", len(recs), v)
+						}
+						for k := 1; k < len(recs); k++ {
+							if recs[k].Seq <= recs[k-1].Seq {
+								t.Errorf("view out of Seq order at %d", k)
+							}
+						}
+					})
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 func TestWorkloadsFirstAppearanceOrder(t *testing.T) {

@@ -58,6 +58,9 @@ type BayesOpt struct {
 	DecisionHook DecisionHook
 
 	pendingInit []confspace.Config
+	// transferred counts the observations absorbed from WarmStart; the
+	// rest of xs are the session's own evaluations.
+	transferred int
 	xs          [][]float64
 	ys          []float64 // log-runtime
 	model       surrogate.Model
@@ -117,6 +120,7 @@ func (t *BayesOpt) Next(rng *rand.Rand) confspace.Config {
 		for _, tr := range t.WarmStart {
 			t.absorb(tr)
 		}
+		t.transferred += len(t.WarmStart)
 		t.WarmStart = nil
 	}
 	if len(t.xs) < t.initSamples() {
@@ -224,14 +228,20 @@ func (t *BayesOpt) lastAcqSeconds() float64 { return t.lastAcqSec }
 // once the best expected improvement (in multiplicative runtime terms —
 // the model works on log-runtime) drops below the fraction, CherryPick's
 // "EI < 10%" rule.
-func (t *BayesOpt) ShouldStop() bool {
+func (t *BayesOpt) ShouldStop() bool { return t.eiConverged(len(t.xs) - t.transferred) }
+
+// eiConverged applies the stop rule after own evaluations of the
+// session's own. Transferred observations do not count towards the
+// guard: they seed the posterior but are no evidence that this
+// session's search has converged.
+func (t *BayesOpt) eiConverged(own int) bool {
 	if t.StopEIFrac <= 0 || !t.eiValid {
 		return false
 	}
 	// Give the model a few EI-guided evaluations before trusting its
 	// convergence estimate — a freshly initialized posterior can look
 	// deceptively flat.
-	if len(t.xs) < t.initSamples()+5 {
+	if own < t.initSamples()+5 {
 		return false
 	}
 	threshold := -math.Log(1 - t.StopEIFrac)

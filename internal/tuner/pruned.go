@@ -179,9 +179,10 @@ func (t *PrunedBayesOpt) rebuild(dec sensitivity.Decision) {
 }
 
 // ShouldStop implements Stopper by delegating to the inner tuner's
-// CherryPick convergence rule.
+// CherryPick convergence rule, guarded by the wrapper's own trial count:
+// the inner tuner sees warm-start history as ordinary observations.
 func (t *PrunedBayesOpt) ShouldStop() bool {
-	return t.inner != nil && t.inner.ShouldStop()
+	return t.inner != nil && t.inner.eiConverged(t.trials)
 }
 
 // lastAcqSeconds implements acqTimed.

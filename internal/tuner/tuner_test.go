@@ -444,6 +444,35 @@ func TestBayesOptEIStopping(t *testing.T) {
 	}
 }
 
+// The stop rule's guard counts the session's own evaluations only: a
+// session warm-started from 20 transferred trials must still make
+// initSamples()+5 evaluations of its own before it may stop, plain and
+// pruning alike.
+func TestEIStoppingGuardIgnoresWarmStart(t *testing.T) {
+	s := benchSpace(t)
+	prior, err := Run(NewBayesOpt(s), bowl(s), 20, stat.NewRNG(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func() []Trial { return append([]Trial(nil), prior.Trials...) }
+	bo := NewBayesOpt(s)
+	bo.WarmStart, bo.InitSamples, bo.StopEIFrac = warm(), 3, 0.1
+	pb := NewPrunedBayesOpt(s)
+	pb.WarmStart, pb.InitSamples, pb.StopEIFrac = warm(), 3, 0.1
+	for _, tn := range []Tuner{bo, pb} {
+		res, err := Run(tn, bowl(s), 100, stat.NewRNG(24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if min := bo.initSamples() + 5; len(res.Trials) < min {
+			t.Errorf("%s stopped after %d own trials, want at least %d", tn.Name(), len(res.Trials), min)
+		}
+		if !res.Stopped {
+			t.Errorf("%s never stopped in 100 trials", tn.Name())
+		}
+	}
+}
+
 func TestStoppingDisabledByDefault(t *testing.T) {
 	s := benchSpace(t)
 	res, err := Run(NewBayesOpt(s), bowl(s), 30, stat.NewRNG(22))
