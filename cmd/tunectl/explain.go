@@ -41,9 +41,7 @@ func runExplain(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The trailing blank line keeps this output byte-identical to
-		// what scripts parsing it have always received.
-		fmt.Fprintf(out, "%s\n\n", pretty)
+		fmt.Fprintf(out, "%s\n", pretty)
 		return nil
 	}
 	printExplain(out, doc)

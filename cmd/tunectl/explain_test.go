@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"seamlesstune/internal/api"
 )
 
 const cannedExplain = `{
@@ -74,6 +77,18 @@ func TestExplainJSON(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("raw output missing %q:\n%s", want, out.String())
 		}
+	}
+	// Exactly the indented document and one newline.
+	var doc api.ExplainResponse
+	if err := json.Unmarshal([]byte(cannedExplain), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want)+"\n" {
+		t.Errorf("raw output is not MarshalIndent(doc) plus one newline:\n got %q\nwant %q", got, string(want)+"\n")
 	}
 }
 

@@ -70,9 +70,6 @@ func runStorage(args []string, out io.Writer) error {
 		if err := printFsyncQuantiles(ctx, c, out); err != nil {
 			return err
 		}
-	case "snapshot":
-		fmt.Fprintf(out, "  state:    %s\n", st.Path)
-		fmt.Fprintf(out, "  appended: %d records since start\n", st.Records)
 	default:
 		fmt.Fprintf(out, "  (no persistence)\n")
 	}

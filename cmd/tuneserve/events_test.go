@@ -6,8 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,7 +13,9 @@ import (
 
 	"seamlesstune/internal/api"
 	"seamlesstune/internal/cloud"
+	"seamlesstune/internal/history"
 	"seamlesstune/internal/obs"
+	"seamlesstune/internal/storage"
 )
 
 // sseEvent is one parsed Server-Sent Event frame.
@@ -280,15 +280,14 @@ func TestJobEventsUnknownJob(t *testing.T) {
 
 // TestShutdownClosesStreamsAndFlushes pins the graceful-shutdown
 // semantics: Close must unblock live SSE tailers (the event log closes
-// their channels) and flush the event ring to -events-out as decodable
-// JSONL, after the engine has drained — so the file holds the complete
+// their channels) and leave the event stream durable in the WAL after the
+// engine has drained — so a restarted backend recovers the complete
 // session history.
 func TestShutdownClosesStreamsAndFlushes(t *testing.T) {
 	dir := t.TempDir()
-	eventsPath := filepath.Join(dir, "events.jsonl")
 	s, err := newServer(serverConfig{
 		Seed: 1, Params: 10, CloudBudget: 5, DISCBudget: 8, Workers: 2,
-		EventsPath: eventsPath,
+		DataDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,21 +326,21 @@ func TestShutdownClosesStreamsAndFlushes(t *testing.T) {
 		t.Fatal("SSE stream did not end on shutdown")
 	}
 
-	raw, err := os.ReadFile(eventsPath)
+	b, err := storage.Open(storage.Config{DataDir: dir, CompactSegments: -1})
 	if err != nil {
-		t.Fatalf("event flush missing: %v", err)
+		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("flushed %d events, want a full session", len(lines))
+	defer b.Close()
+	events, err := b.Recover(&history.Store{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) < 3 {
+		t.Fatalf("flushed %d events, want a full session", len(events))
 	}
 	var sawStart, sawEnd bool
 	var prevSeq uint64
-	for i, line := range lines {
-		var e obs.Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("line %d not valid JSON: %v", i, err)
-		}
+	for _, e := range events {
 		if e.Seq <= prevSeq {
 			t.Fatalf("flush out of order: seq %d after %d", e.Seq, prevSeq)
 		}

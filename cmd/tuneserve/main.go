@@ -58,16 +58,15 @@ func main() {
 	maxQueued := fs.Int("max-queued", 0, "max unfinished jobs admitted at once (0 = unbounded)")
 	transferThreshold := fs.Float64("transfer-threshold", 0,
 		"similarity gate for cross-workload warm-starting (0 = default; >1 disables transfer for strict replayability)")
-	statePath := fs.String("state", "", "path for persisting the execution history as a JSON snapshot (load on start, save asynchronously; selects the snapshot backend)")
+	statePath := fs.String("state", "", "JSON history file to import once into the -data-dir write-ahead log at startup (skipped when the log already holds history; requires -data-dir)")
 	dataDir := fs.String("data-dir", "", "directory for the write-ahead log (selects the wal backend: O(1) durable appends, group commit, compaction, crash recovery)")
-	backendName := fs.String("backend", "", "persistence backend: wal, snapshot, or memory (default: inferred from -data-dir / -state)")
+	backendName := fs.String("backend", "", "persistence backend: wal or memory (default: wal with -data-dir, memory without)")
 	fsyncInterval := fs.Duration("fsync-interval", 0, "WAL group-commit window: how long concurrent appends coalesce before one fsync (0 = 2ms)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 8 MiB)")
 	compactSegments := fs.Int("compact-segments", 0, "sealed WAL segments that trigger a background compaction (0 = 4; negative disables)")
 	simCache := fs.Bool("simcache", true, "memoize simulator executions across tenants (bit-identical results, content-derived seeds)")
 	simCacheCap := fs.Int("simcache-capacity", 0, "evaluation cache entry bound (0 = default)")
 	eventsCap := fs.Int("events-capacity", 0, "telemetry event ring capacity (0 = default)")
-	eventsOut := fs.String("events-out", "", "path to flush the telemetry event ring to as JSONL on shutdown")
 	telemetryInterval := fs.Duration("telemetry-interval", time.Second, "metrics sampling period of the embedded time-series store (raw tier resolution)")
 	telemetryRetention := fs.Duration("telemetry-retention", 24*time.Hour, "how far back the coarsest telemetry rollup tier retains history")
 	alertRules := fs.String("alert-rules", "", "path to a JSON alert rules file (empty = built-in defaults: telemetry loss, fsync latency, queue backlog, SLO burn rate)")
@@ -95,7 +94,6 @@ func main() {
 		SimCache:           *simCache,
 		SimCacheCapacity:   *simCacheCap,
 		EventsCapacity:     *eventsCap,
-		EventsPath:         *eventsOut,
 		TelemetryInterval:  *telemetryInterval,
 		TelemetryRetention: *telemetryRetention,
 		AlertRules:         *alertRules,
@@ -166,15 +164,14 @@ type serverConfig struct {
 	// above 1 disables transfer, making results independent of how
 	// concurrent sessions interleave).
 	TransferThreshold float64
-	// StatePath, when set, persists the execution history as a whole-store
-	// JSON snapshot: loaded at startup (if present) and saved
-	// asynchronously as records land (the snapshot backend).
+	// StatePath names a JSON-array history file that startup imports
+	// once into the write-ahead log under DataDir (see importState).
 	StatePath string
 	// DataDir, when set, persists history and events through the
 	// segmented write-ahead log (the wal backend).
 	DataDir string
-	// Backend forces a persistence backend ("wal", "snapshot", "memory");
-	// empty infers one from DataDir/StatePath/EventsPath.
+	// Backend forces a persistence backend ("wal" or "memory"); empty
+	// infers one from DataDir.
 	Backend string
 	// FsyncInterval bounds the WAL group-commit window (0 = 2ms).
 	FsyncInterval time.Duration
@@ -190,9 +187,6 @@ type serverConfig struct {
 	SimCacheCapacity int
 	// EventsCapacity sizes the telemetry event ring (0 = default).
 	EventsCapacity int
-	// EventsPath, when set, flushes the event ring to a JSONL file on
-	// shutdown, so a session's telemetry survives the process.
-	EventsPath string
 	// TelemetryInterval is the embedded time-series store's sampling
 	// period (0 = 1s); TelemetryRetention bounds its coarsest rollup
 	// tier's history (0 = 24h).

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
+	"os"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -31,8 +33,7 @@ import (
 // server wraps a core.Service behind HTTP handlers. The service is safe
 // for concurrent use; tuning work runs on the job engine's worker pool
 // (per-tenant FIFO, distinct tenants in parallel), and the execution
-// history persists through a pluggable storage backend — WAL appends,
-// coalesced snapshots, or nothing.
+// history persists through a storage backend — WAL appends or nothing.
 type server struct {
 	svc     *core.Service
 	mux     *http.ServeMux
@@ -45,7 +46,7 @@ type server struct {
 	traces  map[string]uint64
 	// events is the live telemetry bus: sessions publish, SSE handlers
 	// and the usage pump subscribe. The storage backend taps the stream
-	// via SetSink and receives the ring on shutdown via FlushEvents.
+	// via SetSink.
 	events   *obs.EventLog
 	pumpDone chan struct{}
 	// storage is the persistence tier: history records append through the
@@ -69,15 +70,17 @@ func newServer(cfg serverConfig) (*server, error) {
 		cache = simcache.New(cfg.SimCacheCapacity)
 		opts = append(opts, core.WithSimCache(cache))
 	}
-	backend, err := storage.Open(storage.Config{
+	scfg := storage.Config{
 		Backend:         cfg.Backend,
 		DataDir:         cfg.DataDir,
-		StatePath:       cfg.StatePath,
-		EventsPath:      cfg.EventsPath,
 		FsyncInterval:   cfg.FsyncInterval,
 		SegmentBytes:    cfg.SegmentBytes,
 		CompactSegments: cfg.CompactSegments,
-	})
+	}
+	if cfg.Backend == "snapshot" || (cfg.StatePath != "" && scfg.Resolve() != "wal") {
+		return nil, errors.New("-state FILE imports into the write-ahead log and requires -data-dir (the snapshot backend is retired)")
+	}
+	backend, err := storage.Open(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +105,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		pumpDone: make(chan struct{}),
 		storage:  backend,
 	}
-	if backend.Name() == "wal" {
-		// Tap the event stream into the WAL (asynchronous, bounded, shed
-		// at the queue bound). The snapshot backend instead receives the
-		// ring via FlushEvents at shutdown, matching its legacy contract.
-		s.events.SetSink(func(e obs.Event) { backend.AppendEvent(e) })
-	}
+	// Tap the event stream into the backend (asynchronous, bounded, shed
+	// at the queue bound).
+	s.events.SetSink(func(e obs.Event) { backend.AppendEvent(e) })
 	s.engine.SetBackpressure(backend.Saturated)
 	go s.usagePump()
 	if cache != nil {
@@ -126,6 +126,14 @@ func newServer(cfg serverConfig) (*server, error) {
 	tel.Restore(recovered)
 	tel.SetPersist(backend.AppendTelemetry)
 	backend.SetTelemetrySource(tel.PersistedState)
+	// Import after the telemetry source is installed: the import's
+	// compaction folds every segment, rollup records included.
+	if cfg.StatePath != "" {
+		if err := importState(cfg.StatePath, svc.Store(), backend); err != nil {
+			s.shutdownPartial()
+			return nil, err
+		}
+	}
 	rules, err := telemetry.LoadRules(cfg.AlertRules)
 	if err != nil {
 		s.shutdownPartial()
@@ -180,11 +188,10 @@ func (s *server) shutdownPartial() {
 	s.storage.Close()
 }
 
-// Close drains the worker pool, flushes the event ring to the storage
-// backend, releases every SSE subscriber, and closes the backend (its
-// final flush) — in that order, so the flushed events include the final
-// ones of draining jobs and in-flight SSE handlers return before the
-// process exits.
+// Close drains the worker pool, releases every SSE subscriber, and
+// closes the backend (its final flush) — in that order, so the flushed
+// events include the final ones of draining jobs and in-flight SSE
+// handlers return before the process exits.
 func (s *server) Close() {
 	// Stop sampling first: a graceful stop loses at most the open (<1
 	// window) bucket per tier — everything sealed is already queued.
@@ -192,9 +199,6 @@ func (s *server) Close() {
 		s.telemetry.Stop()
 	}
 	s.engine.Close()
-	if err := s.storage.FlushEvents(s.events.Snapshot(0)); err != nil {
-		log.Printf("tuneserve: flushing events: %v", err)
-	}
 	s.events.Close()
 	<-s.pumpDone
 	if err := s.storage.Close(); err != nil {
@@ -203,14 +207,44 @@ func (s *server) Close() {
 }
 
 // handleCompact forces a storage compaction: the WAL backend folds its
-// sealed segments into a snapshot record; the snapshot backend saves
-// synchronously. Returns the post-compaction storage stats.
+// sealed segments into a snapshot record. Returns the post-compaction
+// storage stats.
 func (s *server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	if err := s.storage.Compact(); err != nil {
 		writeError(w, http.StatusInternalServerError, "compact_failed", "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.storage.Stats())
+}
+
+// importState is -state's one-shot import of a JSON-array history file
+// (the format the retired snapshot backend wrote) into a WAL that holds
+// no history yet: the records load into the store and one compaction
+// writes them as a snapshot. Replay applies a snapshot only once all of
+// its chunks are durable, so a crash mid-import leaves the whole file or
+// none of it, and the next start imports again. A missing file imports
+// nothing; a malformed one fails startup.
+func importState(path string, st *history.Store, backend storage.Backend) error {
+	if n := st.Len(); n > 0 {
+		log.Printf("tuneserve: -state %s not imported: the WAL already holds %d history records", path, n)
+		return nil
+	}
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := st.Load(f); err != nil {
+		return fmt.Errorf("importing -state %s: %w", path, err)
+	}
+	if err := backend.Compact(); err != nil {
+		return fmt.Errorf("importing -state %s: %w", path, err)
+	}
+	log.Printf("tuneserve: imported %d history records from %s", st.Len(), path)
+	return nil
 }
 
 // handleStorage reports the storage backend's stats — the data behind

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -417,56 +415,6 @@ func TestEffectivenessValidation(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/effectiveness?tenant=ghost&workload=wordcount", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown tenant status = %d", rec.Code)
-	}
-}
-
-func TestStatePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	s, err := newServer(serverConfig{Seed: 1, Params: 8, CloudBudget: 5, DISCBudget: 8, Workers: 2, StatePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tune",
-		strings.NewReader(`{"tenant":"acme","workload":"wordcount","inputGB":2}`)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("tune status = %d: %s", rec.Code, rec.Body.String())
-	}
-	// Persistence is asynchronous: the save lands shortly after the job
-	// completes, and Close guarantees a final flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatal("state file not written within deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.Close()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("state file missing after Close: %v", err)
-	}
-
-	// A fresh server restores the history.
-	s2, err := newServer(serverConfig{Seed: 2, Params: 8, CloudBudget: 5, DISCBudget: 8, Workers: 2, StatePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	rec = httptest.NewRecorder()
-	s2.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/workloads", nil))
-	if !strings.Contains(rec.Body.String(), "acme") {
-		t.Errorf("restored server lost history: %s", rec.Body.String())
-	}
-
-	// Corrupt state fails loudly.
-	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newServer(serverConfig{StatePath: path}); err == nil {
-		t.Error("corrupt state accepted")
 	}
 }
 

@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"seamlesstune/internal/api"
+	"seamlesstune/internal/history"
 	"seamlesstune/internal/storage"
 )
 
@@ -131,6 +135,130 @@ func TestSubmitShedsUnderBackpressure(t *testing.T) {
 	}
 	jv := decodeJob(t, rec.Body.Bytes())
 	awaitJob(t, s, jv.ID)
+}
+
+// writeStateFile tunes one job for tenant on a memory-backed server and
+// writes the resulting history as a JSON array — the file format the
+// retired snapshot backend kept — returning the records it wrote.
+func writeStateFile(t *testing.T, path, tenant string) []history.Record {
+	t.Helper()
+	s, err := newServer(serverConfig{Seed: 1, Params: 8, CloudBudget: 5, DISCBudget: 8, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tune",
+		strings.NewReader(`{"tenant":"`+tenant+`","workload":"wordcount","inputGB":2}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tune status = %d: %s", rec.Code, rec.Body.String())
+	}
+	raw, err := json.Marshal(s.svc.Store().Query(history.Filter{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want []history.Record
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// storeRecords returns everything a server's history store holds.
+func storeRecords(s *server) []history.Record {
+	return s.svc.Store().Query(history.Filter{})
+}
+
+// TestStatePersistence: -state imports a history file into an empty WAL,
+// and the imported history survives a restart without -state.
+func TestStatePersistence(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	want := writeStateFile(t, path, "acme")
+	cfg := serverConfig{Seed: 2, Params: 8, CloudBudget: 5, DISCBudget: 8, Workers: 1,
+		DataDir: filepath.Join(dir, "wal"), StatePath: path}
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storeRecords(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("imported %d records, want the file's %d", len(got), len(want))
+	}
+	s.Close()
+
+	cfg.StatePath = ""
+	s2, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := storeRecords(s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart without -state recovered %d records, want %d", len(got), len(want))
+	}
+}
+
+// A WAL that already holds history is never overwritten by -state: a
+// restart with a different file keeps the WAL's records.
+func TestStateImportSkipsNonEmptyWAL(t *testing.T) {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.json")
+	want := writeStateFile(t, first, "acme")
+	cfg := serverConfig{Seed: 1, Params: 8, CloudBudget: 5, DISCBudget: 8, Workers: 1,
+		DataDir: filepath.Join(dir, "wal"), StatePath: first}
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	cfg.StatePath = filepath.Join(dir, "second.json")
+	writeStateFile(t, cfg.StatePath, "beta")
+	s2, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := storeRecords(s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("non-empty WAL holds %d records after a second -state, want the first import's %d", len(got), len(want))
+	}
+}
+
+// -state edge cases: a missing file imports nothing, a malformed one
+// fails startup, and -state without -data-dir or the retired snapshot
+// backend fail with an error pointing at -data-dir.
+func TestStateImportErrors(t *testing.T) {
+	dir := t.TempDir()
+	s, err := newServer(serverConfig{Seed: 1, CloudBudget: 5, DISCBudget: 8, Workers: 1,
+		DataDir: filepath.Join(dir, "wal"), StatePath: filepath.Join(dir, "missing.json")})
+	if err != nil {
+		t.Fatalf("missing -state file: %v", err)
+	}
+	if n := len(storeRecords(s)); n != 0 {
+		t.Errorf("missing -state file imported %d records", n)
+	}
+	s.Close()
+
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{nope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newServer(serverConfig{Seed: 1, CloudBudget: 5, DISCBudget: 8, Workers: 1,
+		DataDir: filepath.Join(dir, "wal2"), StatePath: corrupt}); err == nil {
+		t.Error("corrupt -state file accepted")
+	}
+
+	for name, cfg := range map[string]serverConfig{
+		"-state without -data-dir": {Workers: 1, StatePath: corrupt},
+		"-state with memory":       {Workers: 1, StatePath: corrupt, DataDir: dir, Backend: "memory"},
+		"-backend snapshot":        {Workers: 1, Backend: "snapshot"},
+	} {
+		if _, err := newServer(cfg); err == nil || !strings.Contains(err.Error(), "-data-dir") {
+			t.Errorf("%s: err = %v, want one naming -data-dir", name, err)
+		}
+	}
 }
 
 // The explicit -backend flag wins over path inference, and an unknown

@@ -3,7 +3,7 @@
 // tenants, cloud configurations and DISC configurations — is recorded
 // with its observed metrics, so the tuning service can characterize
 // workloads, transfer knowledge between them, and detect the need for
-// re-tuning. The store is safe for concurrent use and serializes to JSON.
+// re-tuning. The store is safe for concurrent use and loads from JSON.
 package history
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -314,26 +313,20 @@ func (s *Store) lockAll() func() {
 	}
 }
 
-// Save serializes the store as one JSON array in insertion order.
-func (s *Store) Save(w io.Writer) error {
-	unlock := s.lockAll()
-	var all []Record
-	for i := range s.shards {
-		for _, recs := range s.shards[i].keys {
-			all = append(all, recs...)
-		}
-	}
-	unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	enc := json.NewEncoder(w)
-	return enc.Encode(all)
-}
-
-// Load replaces the store's contents from JSON.
+// Load replaces the store's contents from a JSON array of records. The
+// sequence numbers must be distinct: they are the records' identity in
+// the storage tier.
 func (s *Store) Load(r io.Reader) error {
 	var records []Record
 	if err := json.NewDecoder(r).Decode(&records); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	seen := make(map[int]bool, len(records))
+	for _, rec := range records {
+		if seen[rec.Seq] {
+			return fmt.Errorf("%w: duplicate seq %d", ErrBadSnapshot, rec.Seq)
+		}
+		seen[rec.Seq] = true
 	}
 	s.Reset(records)
 	return nil
@@ -366,32 +359,4 @@ func (s *Store) Reset(records []Record) {
 	}
 	s.nextSeq.Store(nextSeq)
 	s.count.Store(int64(len(records)))
-}
-
-// SaveFile writes the store to path and fsyncs it: when SaveFile
-// returns, the bytes are durable, not merely in the page cache — the
-// half of crash safety the temp-and-rename idiom alone doesn't provide.
-func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.Save(f); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile replaces the store's contents from path.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Load(f)
 }

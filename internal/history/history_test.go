@@ -2,8 +2,8 @@ package history
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -101,7 +101,7 @@ func TestRoundTripJSON(t *testing.T) {
 	s.Append(rec("t1", "wc", 10, false))
 	s.Append(rec("t2", "pr", 20, true))
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(s.Query(Filter{})); err != nil {
 		t.Fatal(err)
 	}
 	var s2 Store
@@ -120,27 +120,10 @@ func TestRoundTripJSON(t *testing.T) {
 
 func TestReadFromBad(t *testing.T) {
 	var s Store
-	if err := s.Load(strings.NewReader("{nope")); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hist.json")
-	var s Store
-	s.Append(rec("t1", "wc", 10, false))
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var s2 Store
-	if err := s2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 1 {
-		t.Errorf("loaded Len = %d", s2.Len())
-	}
-	if err := s2.LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file load succeeded")
+	for _, doc := range []string{"{nope", `[{"seq":1},{"seq":1}]`} {
+		if err := s.Load(strings.NewReader(doc)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("Load(%s) err = %v", doc, err)
+		}
 	}
 }
 
@@ -365,7 +348,7 @@ func TestRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := json.NewEncoder(&buf).Encode(s.Query(Filter{})); err != nil {
 			return false
 		}
 		var s2 Store

@@ -28,11 +28,11 @@ func TestEventJSONLRoundTripDiagnostics(t *testing.T) {
 		{Seq: 4, TimeNS: 40, Type: EventModelHealth, Session: "j1", Phase: "cloud",
 			Scores: 5, Coverage1: 1, Coverage2: 1, NLPD: -1.2, Severity: "ok"},
 	}
-	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, events); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, e := range events {
+		buf = append(e.AppendJSONL(buf), '\n')
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
 	for i, line := range lines {
 		var got Event
 		if err := json.Unmarshal([]byte(line), &got); err != nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -367,7 +366,7 @@ func (l *EventLog) Stats() EventStats {
 
 // Close rejects further publishes and closes every subscriber channel,
 // releasing SSE handlers and tailers blocked on C(). The ring stays
-// readable via Snapshot (the shutdown flush reads it). Idempotent.
+// readable via Snapshot. Idempotent.
 func (l *EventLog) Close() {
 	if l == nil {
 		return
@@ -382,20 +381,6 @@ func (l *EventLog) Close() {
 		}
 	}
 	l.mu.Unlock()
-}
-
-// WriteEventsJSONL encodes events one JSON object per line — the flush
-// format of tuneserve's -events-out and tunectl events --json.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	buf := make([]byte, 0, 256)
-	for _, e := range events {
-		buf = e.AppendJSONL(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AppendJSONL appends the event as a single-line JSON object to b and

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -220,11 +219,11 @@ func TestEventJSONLRoundTrip(t *testing.T) {
 		{Seq: 4, TimeNS: 1011, Type: EventSLOViolation, Detail: `projected spend $9.30 > budget "tiny" \ limit`},
 		{Seq: 5, TimeNS: 1213, Type: EventSessionEnd, Detail: "ok\nline2\ttab"},
 	}
-	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, events); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, e := range events {
+		buf = append(e.AppendJSONL(buf), '\n')
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
 	if len(lines) != len(events) {
 		t.Fatalf("got %d lines, want %d", len(lines), len(events))
 	}

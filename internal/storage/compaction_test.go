@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -32,8 +29,9 @@ func countSnapshots(t *testing.T, dir string) int {
 
 // TestCompactionChunksLargeSnapshot forces the compactor over its chunk
 // budget and verifies the snapshot splits into multiple records that
-// reassemble on recovery — the path that keeps compaction working (and
-// safe) once the folded history outgrows one WAL record.
+// reassemble on recovery — history, event tail and telemetry dump alike
+// — the path that keeps compaction working (and safe) once the folded
+// history outgrows one WAL record.
 func TestCompactionChunksLargeSnapshot(t *testing.T) {
 	old := snapshotChunkBytes
 	snapshotChunkBytes = 256 // a few records per chunk
@@ -43,6 +41,8 @@ func TestCompactionChunksLargeSnapshot(t *testing.T) {
 	b := openTestWAL(t, dir)
 	want := appendThrough(t, b, 40)
 	b.AppendEvent(obs.Event{Seq: 1, Type: obs.EventTrial, Trial: 1})
+	blocks := [][]byte{[]byte("rollup-1"), []byte("rollup-2")}
+	b.SetTelemetrySource(func() [][]byte { return blocks })
 	if err := b.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -65,6 +65,9 @@ func TestCompactionChunksLargeSnapshot(t *testing.T) {
 	}
 	if len(events) != 1 {
 		t.Errorf("recovered %d events from the final chunk, want 1", len(events))
+	}
+	if got := b2.RecoveredTelemetry(); !reflect.DeepEqual(got, blocks) {
+		t.Errorf("recovered telemetry = %q from the final chunk, want %q", got, blocks)
 	}
 }
 
@@ -183,32 +186,4 @@ func TestWALCloseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestWALFlushEventsWritesEventsPath: with -events set alongside
-// -data-dir, the wal backend writes the passed ring at shutdown instead
-// of silently ignoring the flag.
-func TestWALFlushEventsWritesEventsPath(t *testing.T) {
-	dir := t.TempDir()
-	events := filepath.Join(dir, "events.jsonl")
-	b, err := Open(Config{Backend: "wal", DataDir: filepath.Join(dir, "wal"), EventsPath: events, NoSync: true, CompactSegments: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recover(&history.Store{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.FlushEvents([]obs.Event{{Seq: 1, TimeNS: 1, Type: obs.EventTrial, Trial: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"type":"trial"`)) {
-		t.Fatalf("flushed events = %q", data)
-	}
 }

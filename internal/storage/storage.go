@@ -1,16 +1,12 @@
 // Package storage is the durable persistence tier behind the tuning
 // service: a pluggable backend interface over the execution-history
-// store and the telemetry event stream, with three implementations.
+// store and the telemetry event stream, with two implementations.
 //
 //   - "wal": a segmented write-ahead log (internal/wal). History records
 //     and events append O(1) with group-committed fsyncs; a background
 //     compactor folds cold segments into snapshot records, bounding disk
 //     and recovery time; startup replays snapshot + live segments,
 //     tolerating torn tails. This is the production backend.
-//   - "snapshot": the legacy temp-and-rename whole-store JSON snapshot
-//     (now with the fsyncs the original lacked), kept for equivalence —
-//     its on-disk state file is byte-identical to what the service wrote
-//     before the WAL tier existed.
 //   - "memory": nothing persists; every call is a no-op.
 //
 // The determinism contract (stat.DeriveSeed, schedule-independent
@@ -38,31 +34,27 @@ const (
 // Backend is one persistence strategy for the history store and the
 // event stream. Implementations are safe for concurrent use.
 type Backend interface {
-	// Name identifies the backend ("wal", "snapshot", "memory").
+	// Name identifies the backend ("wal" or "memory").
 	Name() string
 	// Recover loads persisted state into st, replacing its contents, and
 	// returns the persisted telemetry events that survived (oldest
 	// first). It must be called once, before any append.
 	Recover(st *history.Store) ([]obs.Event, error)
 	// AppendRecord persists one history record. For the WAL backend the
-	// call returns once the record's group commit has fsynced; for the
-	// snapshot backend it schedules a coalesced asynchronous snapshot.
+	// call returns once the record's group commit has fsynced.
 	AppendRecord(r history.Record) error
 	// AppendEvent persists one telemetry event. Never blocks the hot
 	// path: the WAL backend enqueues asynchronously and drops (counted)
-	// at the queue bound; the snapshot backend retains events only via
-	// FlushEvents at shutdown.
+	// at the queue bound.
 	AppendEvent(e obs.Event) error
-	// FlushEvents is the shutdown hook: the caller passes the retained
-	// event ring. The snapshot backend writes it as events.jsonl; the
-	// WAL backend — whose events are already on disk — syncs, and also
-	// writes the ring when an events path is configured alongside the
-	// data directory.
+	// FlushEvents is the shutdown hook: it makes every appended event
+	// durable. The events were appended as they were published, so the
+	// passed ring is not written again.
 	FlushEvents(events []obs.Event) error
 	// AppendTelemetry persists one opaque telemetry rollup block (sealed
 	// downsampled buckets from internal/telemetry). Like AppendEvent it
 	// never blocks the hot path: the WAL backend enqueues asynchronously
-	// and drops (counted) at the queue bound; the other backends discard.
+	// and drops (counted) at the queue bound; the memory backend discards.
 	AppendTelemetry(block []byte) error
 	// RecoveredTelemetry returns the rollup blocks that survived the last
 	// Recover, oldest first. The slices are owned by the caller.
@@ -75,8 +67,8 @@ type Backend interface {
 	// client retry delay — the admission-control probe the job engine
 	// sheds load on.
 	Saturated() (bool, time.Duration)
-	// Compact folds cold state (WAL: snapshot + drop sealed segments;
-	// snapshot: force a synchronous save). Safe to call at any time.
+	// Compact folds cold state into one snapshot and drops the sealed
+	// segments it covers. Safe to call at any time after Recover.
 	Compact() error
 	// Stats summarizes the backend for /healthz and tunectl storage.
 	Stats() Stats
@@ -87,9 +79,8 @@ type Backend interface {
 // Stats is a point-in-time summary of a backend.
 type Stats struct {
 	Backend string `json:"backend"`
-	// Dir or Path locates the persisted state.
-	Dir  string `json:"dir,omitempty"`
-	Path string `json:"path,omitempty"`
+	// Dir locates the persisted state.
+	Dir string `json:"dir,omitempty"`
 	// Records and Events count appends accepted this process; Errors
 	// appends that failed; EventsDropped events shed at the queue bound.
 	Records       int64 `json:"records"`
@@ -122,17 +113,11 @@ type Stats struct {
 
 // Config selects and parameterizes a backend.
 type Config struct {
-	// Backend is "wal", "snapshot", "memory", or "" for automatic
-	// resolution: wal when DataDir is set, snapshot when StatePath or
-	// EventsPath is, memory otherwise.
+	// Backend is "wal", "memory", or "" for automatic resolution: wal
+	// when DataDir is set, memory otherwise.
 	Backend string
 	// DataDir is the WAL directory (wal backend).
 	DataDir string
-	// StatePath is the snapshot backend's history file. EventsPath is
-	// the shutdown event flush — written by the snapshot backend and,
-	// when set alongside DataDir, by the wal backend too.
-	StatePath  string
-	EventsPath string
 	// FsyncInterval bounds the WAL group-commit window (0 = 2ms).
 	FsyncInterval time.Duration
 	// SegmentBytes is the WAL segment roll threshold (0 = 8 MiB).
@@ -158,9 +143,6 @@ func (c Config) Resolve() string {
 	if c.DataDir != "" {
 		return "wal"
 	}
-	if c.StatePath != "" || c.EventsPath != "" {
-		return "snapshot"
-	}
 	return "memory"
 }
 
@@ -172,14 +154,25 @@ func Open(cfg Config) (Backend, error) {
 			return nil, fmt.Errorf("storage: wal backend requires a data directory")
 		}
 		return openWAL(cfg)
-	case "snapshot":
-		if cfg.StatePath == "" && cfg.EventsPath == "" {
-			return nil, fmt.Errorf("storage: snapshot backend requires a state or events path")
-		}
-		return newSnapshotBackend(cfg), nil
 	case "memory":
 		return memoryBackend{}, nil
 	default:
-		return nil, fmt.Errorf("storage: unknown backend %q (accepted: wal, snapshot, memory)", cfg.Backend)
+		return nil, fmt.Errorf("storage: unknown backend %q (accepted: wal, memory)", cfg.Backend)
 	}
 }
+
+// memoryBackend persists nothing.
+type memoryBackend struct{}
+
+func (memoryBackend) Name() string                                { return "memory" }
+func (memoryBackend) Recover(*history.Store) ([]obs.Event, error) { return nil, nil }
+func (memoryBackend) AppendRecord(history.Record) error           { return nil }
+func (memoryBackend) AppendEvent(obs.Event) error                 { return nil }
+func (memoryBackend) FlushEvents([]obs.Event) error               { return nil }
+func (memoryBackend) AppendTelemetry([]byte) error                { return nil }
+func (memoryBackend) RecoveredTelemetry() [][]byte                { return nil }
+func (memoryBackend) SetTelemetrySource(func() [][]byte)          {}
+func (memoryBackend) Saturated() (bool, time.Duration)            { return false, 0 }
+func (memoryBackend) Compact() error                              { return nil }
+func (memoryBackend) Stats() Stats                                { return Stats{Backend: "memory"} }
+func (memoryBackend) Close() error                                { return nil }

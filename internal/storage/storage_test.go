@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -61,8 +60,6 @@ func TestResolve(t *testing.T) {
 	}{
 		{Config{}, "memory"},
 		{Config{DataDir: "/x"}, "wal"},
-		{Config{StatePath: "/x.json"}, "snapshot"},
-		{Config{EventsPath: "/e.jsonl"}, "snapshot"},
 		{Config{Backend: "memory", DataDir: "/x"}, "memory"},
 	}
 	for _, c := range cases {
@@ -70,8 +67,10 @@ func TestResolve(t *testing.T) {
 			t.Errorf("Resolve(%+v) = %q, want %q", c.cfg, got, c.want)
 		}
 	}
-	if _, err := Open(Config{Backend: "bogus"}); err == nil {
-		t.Error("unknown backend accepted")
+	for _, name := range []string{"bogus", "snapshot"} {
+		if _, err := Open(Config{Backend: name}); err == nil {
+			t.Errorf("backend %q accepted", name)
+		}
 	}
 	if _, err := Open(Config{Backend: "wal"}); err == nil {
 		t.Error("wal backend without data dir accepted")
@@ -268,82 +267,6 @@ func TestWALCompactionCrashWindow(t *testing.T) {
 	}
 	if got := st2.Query(history.Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("crash-window recovery: got %d records, want %d (no duplicates)", len(got), len(want))
-	}
-}
-
-// TestSnapshotByteIdentity holds the snapshot backend to its compatibility
-// contract: the state file it writes is byte-identical to the legacy
-// Save output (the fsyncs change durability, not bytes).
-func TestSnapshotByteIdentity(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	b, err := Open(Config{Backend: "snapshot", StatePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &history.Store{}
-	if _, err := b.Recover(st); err != nil {
-		t.Fatal(err)
-	}
-	st.SetPersist(func(r history.Record) { b.AppendRecord(r) })
-	for i := 0; i < 10; i++ {
-		st.Append(testRecord(i))
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	if err := st.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, legacy.Bytes()) {
-		t.Fatalf("snapshot backend state file diverged from legacy Save output:\n got %d bytes\nwant %d bytes", len(got), legacy.Len())
-	}
-
-	// And it loads back.
-	b2, err := Open(Config{Backend: "snapshot", StatePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	st2 := &history.Store{}
-	if _, err := b2.Recover(st2); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st2.Query(history.Filter{}), st.Query(history.Filter{})) {
-		t.Fatal("snapshot reload diverged")
-	}
-}
-
-func TestSnapshotFlushEventsDurable(t *testing.T) {
-	dir := t.TempDir()
-	events := filepath.Join(dir, "events.jsonl")
-	b, err := Open(Config{Backend: "snapshot", EventsPath: events})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recover(&history.Store{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.FlushEvents([]obs.Event{{Seq: 1, TimeNS: 1, Type: obs.EventTrial, Trial: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"type":"trial"`)) {
-		t.Fatalf("flushed events = %q", data)
-	}
-	if _, err := os.Stat(events + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after flush")
 	}
 }
 

@@ -87,12 +87,13 @@ type recoveryInfo struct {
 //
 // A history too large for one WAL record is chunked: Part/Parts frame a
 // run of consecutive snapshot records, each carrying a slice of the
-// history (ascending, with the event tail on the last part) and all
-// sharing MaxSeq. Replay applies a chunked snapshot only once every part
-// has arrived; an incomplete run — the crash window of an interrupted
-// compaction — is discarded, which loses nothing because the folded
-// segments are only removed after the final part is durable. Zero values
-// (absent fields) mean the legacy single-record form.
+// history (ascending, with the event tail and the telemetry dump on the
+// last part) and all sharing MaxSeq. Replay applies a chunked snapshot
+// only once every part has arrived; an incomplete run — the crash window
+// of an interrupted compaction — is discarded, which loses nothing
+// because the folded segments are only removed after the final part is
+// durable. Zero values (absent fields) mean the legacy single-record
+// form.
 type walSnapshot struct {
 	MaxSeq  int              `json:"maxSeq"`
 	Records []history.Record `json:"records"`
@@ -235,6 +236,9 @@ func (w *walBackend) Recover(st *history.Store) ([]obs.Event, error) {
 				if len(snap.Events) > 0 {
 					pending.Events = snap.Events
 				}
+				if len(snap.Telemetry) > 0 {
+					pending.Telemetry = snap.Telemetry
+				}
 			default:
 				pending = nil
 				w.errors.Add(1)
@@ -346,18 +350,8 @@ func (w *walBackend) SetTelemetrySource(fn func() [][]byte) {
 }
 
 // FlushEvents syncs the log; the events themselves were appended as they
-// were published. When the configuration also names an events file
-// (-events-out alongside -data-dir), the passed ring is additionally written
-// there as JSONL — the flag is honored, not silently ignored.
-func (w *walBackend) FlushEvents(events []obs.Event) error {
-	if err := w.log.Sync(); err != nil {
-		return err
-	}
-	if w.cfg.EventsPath == "" {
-		return nil
-	}
-	return writeEventsFile(w.cfg.EventsPath, events)
-}
+// were published.
+func (w *walBackend) FlushEvents([]obs.Event) error { return w.log.Sync() }
 
 // Saturated reports the WAL queue's admission state.
 func (w *walBackend) Saturated() (bool, time.Duration) {
